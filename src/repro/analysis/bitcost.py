@@ -5,9 +5,10 @@ flips any exact sampler needs by the Shannon entropy of the target
 distribution (and upper-bounds the optimal DDG tree by entropy + 2).
 This analyzer:
 
-1. estimates the outcome distribution of the compiled CF tree by a
-   budgeted mass walk (:func:`outcome_masses` -- exact rational masses,
-   with the unexplored loop tail reported as *residual* mass);
+1. reads the outcome distribution of the raw CF tree off a budgeted
+   fixpoint run (:class:`repro.inference.fixpoint.FixpointEngine` --
+   terminal, fail and unresolved mass, the unresolved part being the
+   loop mass the station budget left unexplored);
 2. computes the expected fair-coin flips per attempt of the debiased
    tree with the exact/iterative fixpoint engine
    (:func:`repro.cftree.analysis.expected_bits`);
@@ -21,7 +22,6 @@ whenever the interpreter already proved certain divergence.
 """
 
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.domains import ONLY_FALSE
@@ -29,63 +29,25 @@ from repro.analysis.framework import AnalysisContext, register_analyzer
 from repro.analysis.interp import ObserveSite, ProgramAnalysis
 from repro.cftree.analysis import expected_bits
 from repro.cftree.compile import compile_cpgcl
-from repro.cftree.tree import CFTree, Choice, Fail, Fix, Leaf
+from repro.cftree.tree import CFTree
 from repro.compiler.passes import PassContext, resolve_passes
+from repro.inference.fixpoint import FixpointEngine
 from repro.lang.state import State
 from repro.lang.syntax import Command
 from repro.semantics.fixpoint import LoopOptions
 from repro.stats.entropy import shannon_entropy
 
-# Kont chains mirror the lowering continuations of ``engine.table``:
-# ``None`` is halt, otherwise ``(fix, outer_kont)``.
-_Kont = Optional[Tuple[Fix, Any]]
-
 BITCOST_OPTIONS = LoopOptions(
     strategy="auto", max_states=2000, max_rounds=4000
 )
 
+#: Station budget of the outcome-mass run: sweeps stop once this many
+#: distinct (loop, continuation, state) stations have been expanded.
+MASS_STATIONS = 2048
 
-def outcome_masses(
-    tree: CFTree, max_expansions: int = 2048
-) -> Tuple[Dict[Any, Fraction], Fraction, Fraction]:
-    """Walk a CF tree, splitting mass at every ``Choice``.
-
-    Returns ``(pmf, fail, residual)``: exact success mass per outcome
-    value, total mass absorbed by ``Fail``, and mass still inside loops
-    when the expansion budget ran out.  ``pmf + fail + residual == 1``.
-    """
-    pmf: Dict[Any, Fraction] = {}
-    fail = Fraction(0)
-    residual = Fraction(0)
-    expansions = max_expansions
-    work: List[Tuple[CFTree, Fraction, _Kont]] = [(tree, Fraction(1), None)]
-    while work:
-        node, mass, kont = work.pop()
-        if mass == 0:
-            continue
-        if isinstance(node, Choice):
-            work.append((node.left, mass * node.prob, kont))
-            work.append((node.right, mass * (1 - node.prob), kont))
-        elif isinstance(node, Fail):
-            fail += mass
-        elif isinstance(node, Fix):
-            work.append((Leaf(node.init), mass, (node, kont)))
-        elif isinstance(node, Leaf):
-            if kont is None:
-                pmf[node.value] = pmf.get(node.value, Fraction(0)) + mass
-            else:
-                fix, outer = kont
-                if fix.guard(node.value):
-                    if expansions <= 0:
-                        residual += mass
-                    else:
-                        expansions -= 1
-                        work.append((fix.body(node.value), mass, kont))
-                else:
-                    work.append((fix.cont(node.value), mass, outer))
-        else:
-            raise TypeError("not a CF tree: %r" % (node,))
-    return pmf, fail, residual
+#: The outcome-mass run stops once less mass than this is unresolved,
+#: which keeps it below the 1e-9 that ZAR009 reports as unexplored.
+MASS_WIDTH = Fraction(1, 2**30)
 
 
 def _debiased(command: Command, sigma: State) -> CFTree:
@@ -121,8 +83,13 @@ def analyze_bitcost(ctx: AnalysisContext) -> None:
     ):
         return
     try:
-        raw = compile_cpgcl(ctx.command, ctx.sigma)
-        pmf, fail_mass, residual = outcome_masses(raw)
+        engine = FixpointEngine()
+        engine.run(
+            compile_cpgcl(ctx.command, ctx.sigma),
+            width=MASS_WIDTH,
+            max_stations=MASS_STATIONS,
+        )
+        masses = engine.account()
     except Exception as exc:  # analysis must never crash the lint run
         ctx.emit(
             Diagnostic(
@@ -132,9 +99,13 @@ def analyze_bitcost(ctx: AnalysisContext) -> None:
         )
         return
 
+    pmf = masses.terminal
+    fail_mass = masses.fail
+    # ``unresolved`` also holds the engine's sub-2^-96 rounding dust.
+    residual = masses.unresolved
     success = sum(pmf.values(), Fraction(0))
     if success == 0:
-        if residual == 0:
+        if not engine.frontier and not masses.parked:
             # Distribution-level infeasibility: every execution fails an
             # observation.  (Syntactically certain `observe false` is
             # already reported by the observe analyzer; no duplicate.)
@@ -156,10 +127,10 @@ def analyze_bitcost(ctx: AnalysisContext) -> None:
     entropy = shannon_entropy(normalized)
 
     # The expectation solve walks the debiased tree's loop state space
-    # (nested rejection loops multiply the work); when the mass walk
-    # already left most of the distribution unexplored the state space
-    # is too deep to solve within budget -- report incompleteness
-    # instead of stalling the lint run (ISSUE: bounded analysis).
+    # (nested rejection loops multiply the work); when the station
+    # budget already left most of the distribution unexplored the state
+    # space is too deep to solve within budget -- report incompleteness
+    # instead of stalling the lint run.
     if residual > Fraction(1, 2):
         ctx.emit(
             Diagnostic(

@@ -12,19 +12,17 @@
   bits = attempt bits / success probability).
 - :func:`tree_size` / :func:`tree_depth` -- structural statistics of the
   eager part of a tree (``Fix`` nodes count as single opaque nodes).
-- :func:`leaf_supports` / :func:`escape_lower_bound` -- the CF-DAG side
-  of the abstract-interpretation layer (``repro.analysis``): variable
-  supports over reachable leaf states, and an exact per-state lower
-  bound on the probability that one unfolding of a ``Fix`` body leaves
-  the loop.  Both are budgeted (the lazy ``Fix`` representation makes
-  exhaustive exploration undecidable) and report completeness.
+- :func:`escape_lower_bound` -- the CF-DAG side of the loop-escape
+  analysis (``repro.analysis``): an exact per-state lower bound on the
+  probability that one unfolding of a ``Fix`` body leaves the loop.  It
+  is budgeted (the lazy ``Fix`` representation makes exhaustive
+  exploration undecidable) and reports completeness.
 """
 
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.cftree.tree import CFTree, Choice, Fail, Fix, Leaf
-from repro.lang.state import State
 from repro.semantics.algebra import EXT_REAL
 from repro.semantics.extreal import ExtReal
 from repro.semantics.fixpoint import DEFAULT_OPTIONS, LoopOptions, solve_loop
@@ -134,71 +132,6 @@ def _cost(tree, kont, alg, options):
             mass_step=mass_step,
         )
     raise TypeError("not a CF tree: %r" % (tree,))
-
-
-def leaf_supports(
-    tree: CFTree, max_expansions: int = 4096
-) -> Tuple[Dict[str, "object"], bool]:
-    """Join the per-variable supports of all reachable terminal leaf
-    states of a ``CFTree[State]``.
-
-    Returns ``(supports, complete)`` where ``supports`` maps each
-    variable to a :class:`repro.analysis.domains.AbsVal` covering every
-    value the variable takes in some reachable ``Leaf``, and ``complete``
-    is False when the expansion budget truncated loop exploration (the
-    supports are then a lower* approximation of the reachable leaves --
-    exact on what was explored).
-    """
-    # Imported here: repro.analysis depends on repro.cftree for the
-    # bit-cost analyzer, so the domain import must stay local.
-    from repro.analysis.domains import AbsVal
-
-    supports: Dict[str, object] = {}
-    appearances: Dict[str, int] = {}
-    leaves = 0
-    complete = True
-    expansions = max_expansions
-    work = [(tree, None)]  # (node, kont) with kont = None | (fix, outer)
-    while work:
-        node, kont = work.pop()
-        if isinstance(node, Choice):
-            work.append((node.left, kont))
-            work.append((node.right, kont))
-        elif isinstance(node, Fail):
-            continue
-        elif isinstance(node, Fix):
-            work.append((Leaf(node.init), (node, kont)))
-        elif isinstance(node, Leaf):
-            if kont is not None:
-                fix, outer = kont
-                if fix.guard(node.value):
-                    if expansions <= 0:
-                        complete = False
-                    else:
-                        expansions -= 1
-                        work.append((fix.body(node.value), kont))
-                else:
-                    work.append((fix.cont(node.value), outer))
-                continue
-            state = node.value
-            if isinstance(state, State):
-                leaves += 1
-                for name, value in state.items():
-                    seen = supports.get(name)
-                    fresh = AbsVal.of(value)
-                    appearances[name] = appearances.get(name, 0) + 1
-                    supports[name] = (
-                        fresh if seen is None else seen.join(fresh)  # type: ignore[attr-defined]
-                    )
-        else:
-            raise TypeError("not a CF tree: %r" % (node,))
-    # States drop zero-valued bindings (their canonical form): a variable
-    # absent from some leaf is 0 there, so its support must include 0.
-    zero = AbsVal.of(0)
-    for name, count in appearances.items():
-        if count < leaves:
-            supports[name] = supports[name].join(zero)  # type: ignore[attr-defined]
-    return supports, complete
 
 
 def escape_lower_bound(

@@ -11,11 +11,12 @@ initial state, and every compilation option that affects the output
   being redone);
 - an optional **on-disk store** (one pickle per digest) so separate
   processes -- CLI invocations, CI runs, benchmark sweeps -- skip
-  compilation entirely.  Closed tables spill as plain row arrays; *open*
-  tables (warm loop-state spaces mid-expansion) spill through
-  :mod:`repro.engine.freeze`, which replaces every ``Fix`` closure by
-  its content-digest triple and rebinds fresh closures on load, so even
-  JIT expansion work survives across processes.
+  compilation entirely.  Every table spills through
+  :mod:`repro.engine.freeze`: a closed table as rows plus tagged
+  payloads, an *open* one (a warm loop-state space mid-expansion) with
+  every ``Fix`` closure replaced by its content-digest triple and
+  rebound on load, so even JIT expansion work survives across
+  processes.
 
 Configuration: ``configure_cache(capacity=..., disk_dir=...)`` or the
 environment variables ``ZAR_COMPILE_CACHE_SIZE`` (entry bound, default
@@ -35,7 +36,8 @@ from repro.compiler.digest import DIGEST_VERSION
 
 #: Bump to invalidate on-disk artifacts when the table encoding changes.
 #: 2: open tables spill as content-digest triples (repro.engine.freeze).
-_DISK_FORMAT = 2
+#: 3: closed tables spill through the same freeze codec.
+_DISK_FORMAT = 3
 
 
 class CompilationCache:
@@ -95,7 +97,7 @@ class CompilationCache:
         if not self.disk_dir:
             return
         payload = program.disk_payload()
-        if payload is None:  # open table: not serializable
+        if payload is None:  # the table has no frozen form
             return
         try:
             os.makedirs(self.disk_dir, exist_ok=True)

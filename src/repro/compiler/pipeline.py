@@ -135,66 +135,37 @@ class CompiledProgram:
     def disk_payload(self) -> Optional[dict]:
         """A picklable record, or None when the table is unspillable.
 
-        Closed tables serialize as plain row arrays.  *Open* tables --
-        warm loop-state spaces mid-expansion -- freeze through
-        :mod:`repro.engine.freeze`: rows plus every keyed memo entry,
-        pending stub, and call record as content-digest triples.
-        Unpicklable payload values (exotic leaf objects) are caught by
-        the cache's store path, which discards the artifact.
+        Every table freezes through :mod:`repro.engine.freeze`: rows,
+        tagged payload values, and -- for open tables, warm loop-state
+        spaces mid-expansion -- every keyed memo entry, pending stub,
+        and call record as content-digest triples.
         """
-        table = self.table
-        common = {
+        from repro.engine.freeze import freeze_table
+
+        frozen = freeze_table(self.table)
+        if frozen is None:
+            return None
+        return {
             "digest": self.digest,
             "coalesce": self.coalesce,
             "passes": self.passes,
             "stats": self.stats,
+            "table": frozen,
         }
-        if table.pending_stubs or table.calls:
-            from repro.engine.freeze import freeze_table
-
-            frozen = freeze_table(table)
-            if frozen is None:
-                return None
-            common["open"] = frozen
-            return common
-        common.update(
-            {
-                "max_nodes": table.max_nodes,
-                "op": list(table.op),
-                "a": list(table.a),
-                "b": list(table.b),
-                "payload": list(table.payload),
-                "payloads": list(table.payloads),
-                "root": table.root,
-            }
-        )
-        return common
 
     @classmethod
     def from_disk_payload(cls, payload: dict) -> "CompiledProgram":
-        if "open" in payload:
-            from repro.engine.freeze import thaw_table
+        from repro.engine.freeze import thaw_table
 
-            table = thaw_table(payload["open"])
-        else:
-            table = NodeTable(payload["max_nodes"])
-            table.op = list(payload["op"])
-            table.a = list(payload["a"])
-            table.b = list(payload["b"])
-            table.payload = list(payload["payload"])
-            table.payloads = list(payload["payloads"])
-            table.root = payload["root"]
-            table.version = 1
-        stats = dict(payload.get("stats") or {})
         return cls(
             command=None,
             sigma=None,
             coalesce=payload["coalesce"],
             passes=payload["passes"],
             tree=None,
-            table=table,
+            table=thaw_table(payload["table"]),
             digest=payload["digest"],
-            stats=stats,
+            stats=dict(payload.get("stats") or {}),
             source="disk",
         )
 

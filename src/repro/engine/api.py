@@ -12,13 +12,14 @@ harness and benchmarks consume either interchangeably.  Backends:
 
 - ``"native"`` -- a generated C kernel over the pooled bit stream
   (closed tables only; see :mod:`repro.engine.native`), bit-for-bit
-  identical to ``"sequential"``/``"python"`` on the same seed, with an
-  observable downgrade to ``"python"`` when no kernel can run;
+  identical to ``"python"`` on the same seed, with an observable
+  downgrade to ``"python"`` when no kernel can run;
 - ``"numpy"``  -- vectorized lanes (default when numpy is installed);
-- ``"python"`` -- pooled pure-Python batch loop;
-- ``"sequential"`` -- per-sample stepping against an explicit
-  ``BitSource``; bit-for-bit equivalent to the trampoline (forced
-  whenever ``source`` is given).
+- ``"python"`` -- pooled pure-Python batch loop, bit-for-bit equivalent
+  to the trampoline on the same stream.  It is forced whenever an
+  explicit ``source`` is given: the source is read one bit at a time
+  through :class:`~repro.engine.pool.SourcePool`, so a finite source
+  runs out at the same position it would under the trampoline.
 
 Engine selection lives in :mod:`repro.engine.profile`: an
 :class:`~repro.engine.profile.EngineProfile` bundles every knob
@@ -31,16 +32,16 @@ the old static heuristic as the cold-start prior.
 import time
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from repro.bits.source import BitSource, CountingBits
+from repro.bits.source import BitSource
 from repro.cftree.tree import CFTree
 from repro.engine import driver as _driver
-from repro.engine.pool import BitPool, HAVE_NUMPY
+from repro.engine.pool import BitPool, HAVE_NUMPY, SourcePool
 from repro.engine.table import LoweringError, NodeTable
 from repro.lang.state import State
 from repro.lang.syntax import Command
 from repro.sampler.record import SampleSet
 
-BACKENDS = ("auto", "native", "numpy", "python", "sequential")
+BACKENDS = ("auto", "native", "numpy", "python")
 
 ENGINES = ("auto", "batch", "trampoline")
 
@@ -398,11 +399,15 @@ class BatchSampler:
         self,
         n: int,
         seed: Optional[int],
-        source: Optional[BitSource],
+        pool: Optional[SourcePool],
         fuel: Optional[int],
         backend: str,
     ) -> Tuple[List[int], List[int]]:
-        """One driver call: payload indices + per-sample bit counts."""
+        """One driver call: payload indices + per-sample bit counts.
+
+        ``pool`` (an explicit source) takes precedence over ``seed``;
+        only the ``"python"`` backend ever receives one.
+        """
         if backend == "native":
             indices_bits = self._collect_native(n, seed, fuel)
             if indices_bits is not None:
@@ -411,22 +416,10 @@ class BatchSampler:
             # pooled Python backend, which consumes the identical
             # ``BitPool(seed)`` stream -- the fallback is bit-for-bit.
             backend = "python"
-        if backend == "sequential":
-            counting = CountingBits(
-                source if source is not None else BitPool(seed)
-            )
-            indices: List[int] = []
-            bits: List[int] = []
-            for _ in range(n):
-                indices.append(
-                    _driver._step_indices(self.table, counting, fuel,
-                                          self.tied)
-                )
-                bits.append(counting.take_count())
-            return indices, bits
         if backend == "python":
             return _driver.collect_python(
-                self.table, n, BitPool(seed), fuel, self.tied
+                self.table, n, pool if pool is not None else BitPool(seed),
+                fuel, self.tied,
             )
         raw_indices, raw_bits = _driver.collect_numpy(
             self.table, n, seed=seed, max_steps=fuel, tied=self.tied
@@ -477,13 +470,12 @@ class BatchSampler:
 
         ``batch_size`` splits the collection into chunks of at most that
         many samples per driver call (bounding peak lane memory on the
-        numpy backend).  Chunked pooled backends derive one seed per
-        chunk, so the draw remains seeded-deterministic and i.i.d. but
-        the concatenated stream differs from an unchunked run;
+        numpy backend).  Chunked seeded runs derive one seed per chunk,
+        so the draw remains seeded-deterministic and i.i.d. but the
+        concatenated stream differs from an unchunked run;
         ``batch_size=None`` (the default, and the registry profiles')
-        is the bit-stable single-call path.  The sequential backend
-        threads one counting source through every chunk, so chunking
-        never changes its bit stream.
+        is the bit-stable single-call path.  An explicit ``source`` is
+        shared by every chunk, so chunking never changes its bit stream.
         """
         if n <= 0:
             raise ValueError("need a positive sample count")
@@ -493,21 +485,17 @@ class BatchSampler:
                 "unknown backend %r (valid: %s)"
                 % (backend, ", ".join(BACKENDS))
             )
+        pool = None
         if source is not None:
-            backend = "sequential"
+            backend = "python"
+            pool = SourcePool(source)
         elif backend == "auto":
             backend = "numpy" if HAVE_NUMPY else "python"
 
         if batch_size is not None and batch_size <= 0:
             raise ValueError("batch_size must be positive or None")
         if batch_size is None or batch_size >= n:
-            indices, bits = self._collect_indices(n, seed, source, fuel,
-                                                  backend)
-        elif backend == "sequential":
-            # One shared source: chunk boundaries are invisible to the
-            # bit stream.
-            shared = source if source is not None else BitPool(seed)
-            indices, bits = self._collect_indices(n, seed, shared, fuel,
+            indices, bits = self._collect_indices(n, seed, pool, fuel,
                                                   backend)
         else:
             indices, bits = [], []
@@ -520,7 +508,7 @@ class BatchSampler:
                     else (seed + 0x9E3779B1 * (chunk_index + 1)) % (2 ** 63)
                 )
                 chunk_indices, chunk_bits = self._collect_indices(
-                    chunk, chunk_seed, None, fuel, backend
+                    chunk, chunk_seed, pool, fuel, backend
                 )
                 indices.extend(chunk_indices)
                 bits.extend(chunk_bits)

@@ -7,9 +7,11 @@ Three tiers, fastest first:
   bit per lane per ``OP_BIT`` step.  Lanes draw independent bit streams,
   so the *sequence* differs from the sequential drivers, but each lane
   sees i.i.d. fair bits and the per-sample bit accounting is exact.
-- :func:`collect_python` -- pure-Python batch over a pooled bit buffer;
-  the fallback when numpy is absent.  Bit-for-bit identical to
-  :func:`run_table` on the same pool.
+- :func:`collect_python` -- pure-Python batch over a pooled bit buffer:
+  the ``"python"`` backend, the native backend's fallback, and the only
+  backend an explicit ``BitSource`` runs on (through a one-bit
+  :class:`~repro.engine.pool.SourcePool`).  Bit-for-bit identical to
+  :func:`run_table` on the same stream.
 - :func:`run_table` -- one sample against an arbitrary ``BitSource``.
   Consumes exactly the bits the reference trampoline
   (:func:`repro.sampler.run.run_itree`) would consume on the tied ITree
@@ -18,7 +20,8 @@ Three tiers, fastest first:
 
 ``max_steps`` bounds node visits per sample (the engine's analogue of
 the trampoline's fuel; the exact step counts differ because the table
-has no ``Tau`` nodes).
+has no ``Tau`` nodes).  Metered :func:`collect_python` runs step
+:func:`run_table`'s walker once per sample.
 """
 
 from contextlib import contextmanager

@@ -1,17 +1,17 @@
-"""Content-addressed serialization of *open* node tables.
+"""Content-addressed serialization of node tables: the disk tier's format.
 
 A warm open table is the expensive artifact of this engine: tens of
 seconds of JIT loop expansion distilled into rows plus the memo that
-keeps back-edges closed.  Closed tables have always round-tripped
-through the compilation cache's disk tier; open tables could not,
-because pending stubs and call records hold ``Fix`` closures, which have
-no meaningful pickle.
+keeps back-edges closed.  Its pending stubs and call records hold
+``Fix`` closures, which have no meaningful pickle.  A closed table is
+just rows and payloads; it goes through the same codec, so the
+compilation cache's disk tier has one table format.
 
-The content-key discipline (:mod:`repro.cftree.keys`) removes that
-obstruction.  Every loop entry is memoized under a
+The content-key discipline (:mod:`repro.cftree.keys`) removes the
+closure obstruction.  Every loop entry is memoized under a
 ``(fix_token, k_token, state)`` triple whose tokens are SHA-256 content
 digests whenever the loop carries a key; two ``Fix`` objects with equal
-tokens are extensionally interchangeable.  So an open table freezes as:
+tokens are extensionally interchangeable.  So a table freezes as:
 
 - the row arrays and payload values (tagged encoding below);
 - every *keyed* memo entry as its digest triple plus row index;
@@ -20,7 +20,8 @@ tokens are extensionally interchangeable.  So an open table freezes as:
   state spaces are tiny, so this terminates quickly);
 - every call record as ``(fix_token, k_token, frame, returns)``.
 
-Thawing restores the arrays and memos and marks the table
+Thawing restores the arrays and memos.  When any of the last three
+lists (or the orphan states) is non-empty it marks the table
 ``needs_rebind``: the pipeline then recompiles the (cheap) tree and
 calls :meth:`~repro.engine.table.NodeTable.thaw_bind`, which lowers it
 against the restored memos -- loop entries hit the frozen rows and
@@ -176,7 +177,7 @@ def freeze_report(table: NodeTable) -> Dict[str, object]:
 def freeze_table(
     table: NodeTable, expand_budget: int = EXPAND_BUDGET_DEFAULT
 ) -> Optional[dict]:
-    """An open table as a picklable record, or ``None`` if unspillable.
+    """A table as a picklable record, or ``None`` if unspillable.
 
     Mutates the table only by *expanding* identity-keyed pendings (extra
     rows, never changed semantics).  Refuses -- returning ``None`` --
@@ -292,9 +293,12 @@ def freeze_table(
 def thaw_table(blob: dict) -> NodeTable:
     """Rebuild a :class:`NodeTable` from :func:`freeze_table` output.
 
-    The result carries ``needs_rebind=True``: callers must recompile the
-    program tree and run :meth:`NodeTable.thaw_bind` before sampling, or
-    the first frozen stub hit raises.
+    When the record holds anything closure-bearing -- pending stubs,
+    memo entries, orphan states or call records -- the result carries
+    ``needs_rebind=True``: callers must recompile the program tree and
+    run :meth:`NodeTable.thaw_bind` before sampling, or the first frozen
+    stub hit raises.  A closed table has nothing to rebind and samples
+    as loaded.
     """
     if blob.get("freeze_version") != FREEZE_VERSION:
         raise ValueError(
@@ -311,7 +315,10 @@ def thaw_table(blob: dict) -> NodeTable:
     table._fail_node = blob.get("fail_node", -1)
     table.expansions = blob.get("expansions", 0)
     table.version = 1
-    table.needs_rebind = True
+    table.needs_rebind = bool(
+        blob["pending"] or blob["memo"] or blob.get("orphans")
+        or blob["calls"]
+    )
 
     for value, index in zip(table.payloads, range(len(table.payloads))):
         try:

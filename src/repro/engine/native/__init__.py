@@ -5,10 +5,10 @@ lowered to a switch-free C table walk (:mod:`~repro.engine.native.
 codegen`), compiled once per content digest, cached next to the
 artifact store (:mod:`~repro.engine.native.kernel`), and driven off the
 exact ``BitPool`` chunk stream (:mod:`~repro.engine.native.driver`), so
-the sample stream is bit-for-bit the sequential driver's.  Open tables
-and degraded environments (no C compiler, ``ZAR_NATIVE_DISABLE``) fall
-back to the pooled pure-Python backend -- which shares that exact bit
-stream -- with an observable ``native-unavailable`` reason.
+the sample stream is bit-for-bit the pooled Python backend's.  Open
+tables and degraded environments (no C compiler, ``ZAR_NATIVE_DISABLE``)
+fall back to that backend -- which shares the exact bit stream -- with
+an observable ``native-unavailable`` reason.
 
 See the "Native backend" section of ``docs/architecture.md``.
 """

@@ -6,9 +6,9 @@ whole 4096-bit ``getrandbits`` chunks, serialized little-endian so bit
 ``j`` of a chunk is bit ``j & 7`` of byte ``j >> 3``, chunks
 concatenated in draw order.  The kernel consumes that buffer strictly
 in order and parks mid-sample state across refills, so the sequence of
-(payload index, bits used) pairs is identical to the sequential driver
-(``CountingBits(BitPool(seed))``) and to ``collect_python`` on the same
-seed.  Leftover bits at the end of the last buffer are discarded, as
+(payload index, bits used) pairs is identical to ``collect_python`` and
+to the one-sample walker (``run_table`` over ``BitPool(seed)``) on the
+same seed.  Leftover bits at the end of the last buffer are discarded, as
 every pooled backend discards its pool.
 
 :func:`kernel_for` is the table-to-kernel resolver the engine seams

@@ -22,11 +22,11 @@ Cache key anatomy -- three independent invalidation axes:
   truncated cache entry fails the check (or the ``dlopen`` itself), is
   unlinked, and is recompiled from source -- never executed.
 
-Loading prefers cffi in ABI mode (``FFI().dlopen``); plain
-:mod:`ctypes` is the zero-dependency fallback (``ZAR_NATIVE_FORCE_CTYPES``
-pins it for tests).  ``native_available()`` is the cheap gate the
-engine seams consult: it requires a C compiler on ``PATH`` (or
-``ZAR_NATIVE_CC``) and ``ZAR_NATIVE_DISABLE`` unset.
+Loading binds the object's four exported symbols with :mod:`ctypes`
+(no third-party FFI), passing the ``array`` buffers by address.
+``native_available()`` is the cheap gate the engine seams consult: it
+requires a C compiler on ``PATH`` (or ``ZAR_NATIVE_CC``) and
+``ZAR_NATIVE_DISABLE`` unset.
 """
 
 import ctypes
@@ -60,17 +60,6 @@ __all__ = [
 ]
 
 COMPILE_TIMEOUT = 120  # seconds; a table-walk TU compiles in well under
-
-_CDEF = """
-const char *zar_digest(void);
-int32_t zar_codegen_version(void);
-int64_t zar_rows(void);
-int64_t zar_collect(const unsigned char *bits, int64_t total_bits,
-                    int64_t done, int64_t n,
-                    int64_t *out_idx, int64_t *out_bits,
-                    int64_t *state, const int32_t *payload_map,
-                    int32_t tied);
-"""
 
 
 class KernelCompileError(RuntimeError):
@@ -173,84 +162,19 @@ def kernel_cache_dir() -> str:
 
 # -- loading -------------------------------------------------------------
 
-def _force_ctypes() -> bool:
-    return bool(os.environ.get("ZAR_NATIVE_FORCE_CTYPES"))
+class NativeKernel:
+    """A validated, loaded kernel for one table digest (bound via ctypes)."""
 
-
-class _CffiBinding:
-    """cffi ABI-mode binding (no compilation at bind time)."""
-
-    name = "cffi"
-
-    def __init__(self, path: str):
-        from cffi import FFI
-
-        self._ffi = FFI()
-        self._ffi.cdef(_CDEF)
-        self._lib = self._ffi.dlopen(path)
-
-    def digest(self) -> str:
-        return self._ffi.string(self._lib.zar_digest()).decode()
-
-    def codegen_version(self) -> int:
-        return int(self._lib.zar_codegen_version())
-
-    def rows(self) -> int:
-        return int(self._lib.zar_rows())
-
-    def collect(self, bits: bytes, total_bits: int, done: int, n: int,
-                out_idx, out_bits, state, payload_map, tied: int) -> int:
-        ffi = self._ffi
-        return int(
-            self._lib.zar_collect(
-                ffi.cast("const unsigned char *", ffi.from_buffer(bits)),
-                total_bits,
-                done,
-                n,
-                ffi.cast("int64_t *",
-                         ffi.from_buffer(out_idx, require_writable=True)),
-                ffi.cast("int64_t *",
-                         ffi.from_buffer(out_bits, require_writable=True)),
-                ffi.cast("int64_t *",
-                         ffi.from_buffer(state, require_writable=True)),
-                ffi.cast("const int32_t *", ffi.from_buffer(payload_map)),
-                tied,
-            )
-        )
-
-
-class _CtypesBinding:
-    """Plain ctypes fallback; buffers passed by address."""
-
-    name = "ctypes"
-
-    def __init__(self, path: str):
-        lib = ctypes.CDLL(path)
-        lib.zar_digest.restype = ctypes.c_char_p
-        lib.zar_digest.argtypes = []
-        lib.zar_codegen_version.restype = ctypes.c_int32
-        lib.zar_codegen_version.argtypes = []
-        lib.zar_rows.restype = ctypes.c_int64
-        lib.zar_rows.argtypes = []
-        lib.zar_collect.restype = ctypes.c_int64
-        lib.zar_collect.argtypes = [
-            ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_int32,
-        ]
+    def __init__(self, lib: ctypes.CDLL, digest: str, payloads: int):
         self._lib = lib
+        self.digest = digest
+        self.payloads = payloads
+        self.rows = int(lib.zar_rows())
 
-    def digest(self) -> str:
-        return self._lib.zar_digest().decode()
-
-    def codegen_version(self) -> int:
-        return int(self._lib.zar_codegen_version())
-
-    def rows(self) -> int:
-        return int(self._lib.zar_rows())
-
-    def collect(self, bits: bytes, total_bits: int, done: int, n: int,
-                out_idx, out_bits, state, payload_map, tied: int) -> int:
+    def collect_call(self, bits: bytes, total_bits: int, done: int, n: int,
+                     out_idx, out_bits, state, payload_map,
+                     tied: bool) -> int:
+        """One ``zar_collect`` call; the ``array`` buffers pass by address."""
         return int(
             self._lib.zar_collect(
                 bits, total_bits, done, n,
@@ -258,38 +182,27 @@ class _CtypesBinding:
                 out_bits.buffer_info()[0],
                 state.buffer_info()[0],
                 payload_map.buffer_info()[0],
-                tied,
+                1 if tied else 0,
             )
         )
 
 
-def _bind(path: str):
-    if not _force_ctypes():
-        try:
-            from cffi import FFI  # noqa: F401  (probe only)
-        except ImportError:
-            pass
-        else:
-            return _CffiBinding(path)
-    return _CtypesBinding(path)
-
-
-class NativeKernel:
-    """A validated, loaded kernel for one table digest."""
-
-    def __init__(self, binding, digest: str, payloads: int):
-        self.binding = binding
-        self.digest = digest
-        self.payloads = payloads
-        self.rows = binding.rows()
-
-    def collect_call(self, bits: bytes, total_bits: int, done: int, n: int,
-                     out_idx, out_bits, state, payload_map,
-                     tied: bool) -> int:
-        return self.binding.collect(
-            bits, total_bits, done, n, out_idx, out_bits, state,
-            payload_map, 1 if tied else 0,
-        )
+def _open_library(path: str) -> ctypes.CDLL:
+    """dlopen ``path`` and declare the kernel ABI's four symbols."""
+    lib = ctypes.CDLL(path)
+    lib.zar_digest.restype = ctypes.c_char_p
+    lib.zar_digest.argtypes = []
+    lib.zar_codegen_version.restype = ctypes.c_int32
+    lib.zar_codegen_version.argtypes = []
+    lib.zar_rows.restype = ctypes.c_int64
+    lib.zar_rows.argtypes = []
+    lib.zar_collect.restype = ctypes.c_int64
+    lib.zar_collect.argtypes = [
+        ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_int32,
+    ]
+    return lib
 
 
 def _snapshot_for_load(path: str) -> str:
@@ -314,9 +227,9 @@ def _snapshot_for_load(path: str) -> str:
 def _load_validated(path: str, digest: str, payloads: int) -> NativeKernel:
     """dlopen + self-check; any failure is a :class:`KernelCacheError`."""
     try:
-        binding = _bind(_snapshot_for_load(path))
-        found_version = binding.codegen_version()
-        found_digest = binding.digest()
+        lib = _open_library(_snapshot_for_load(path))
+        found_version = int(lib.zar_codegen_version())
+        found_digest = lib.zar_digest().decode()
     except Exception as err:  # dlopen/symbol errors vary wildly by libc
         raise KernelCacheError("kernel object unloadable: %s" % err)
     if found_version != CODEGEN_VERSION:
@@ -328,7 +241,7 @@ def _load_validated(path: str, digest: str, payloads: int) -> NativeKernel:
         raise KernelCacheError(
             "kernel digest mismatch (%s != %s)" % (found_digest, digest)
         )
-    return NativeKernel(binding, digest, payloads)
+    return NativeKernel(lib, digest, payloads)
 
 
 # -- compilation ---------------------------------------------------------

@@ -10,11 +10,12 @@ the pipeline, CLI, benchmarks, telemetry, and future ``serve``/
 ``native`` backends all consume.
 
 Selection is purely a performance decision: every backend preserves the
-same per-sample i.i.d. bit-stream semantics, and the sequential paths
-are bit-for-bit identical to the reference trampoline (the differential
-suite pins this), so swapping profiles can never change *what* is
-sampled -- only how fast.  That is what makes a measured policy
-(:mod:`repro.engine.tuner`) safe to layer on top.
+same per-sample i.i.d. bit-stream semantics, and the pooled backends
+(``python``, ``native``) are bit-for-bit identical to the reference
+trampoline on the same stream (the differential suite pins this), so
+swapping profiles can never change *what* is sampled -- only how fast.
+That is what makes a measured policy (:mod:`repro.engine.tuner`) safe
+to layer on top.
 
 Profiles are derived from *program features* exposed by the compiler
 (:func:`features_of` reads ``CompiledProgram.stats``): table rows,
@@ -162,8 +163,6 @@ register_profile(EngineProfile(name="batch-numpy", engine="batch",
                                backend="numpy"))
 register_profile(EngineProfile(name="batch-python", engine="batch",
                                backend="python"))
-register_profile(EngineProfile(name="batch-sequential", engine="batch",
-                               backend="sequential"))
 # The generated-C-kernel backend (closed tables; bit-identical Python
 # fallback otherwise).  Opt-in via --backend/--profile/the tuner: the
 # static prior below never selects it, so cold-start behavior -- and

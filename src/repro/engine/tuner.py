@@ -108,8 +108,7 @@ class EngineTuner:
         semantics (reference driver, lowering fallback), and measuring
         it against the batch engine would waste exploration budget on a
         known-slow path.  Registered profiles named ``native-*`` or
-        ``batch-*`` join automatically (minus ``sequential``, which is
-        the per-sample debugging tier, and ``numpy`` when absent).
+        ``batch-*`` join automatically (minus ``numpy`` when absent).
         """
         if self._candidates is not None:
             return list(self._candidates)
@@ -118,8 +117,6 @@ class EngineTuner:
         names = []
         for name, profile in sorted(PROFILES.items()):
             if profile.engine == "trampoline":
-                continue
-            if profile.backend == "sequential":
                 continue
             if profile.backend == "numpy" and not HAVE_NUMPY:
                 continue

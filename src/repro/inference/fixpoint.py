@@ -330,16 +330,18 @@ class FixpointEngine:
         width: Fraction = Fraction(1, 1 << 20),
         max_sweeps: int = 100_000,
         stall_window: int = STALL_WINDOW,
+        max_stations: Optional[int] = None,
     ) -> FixpointStats:
         """Iterate sweeps until ``slack <= width`` or progress stops.
 
         Stops early (with ``converged=False``) when the frontier drains
-        completely, when ``max_sweeps`` is exhausted, or when the slack
-        is bit-for-bit unchanged for ``stall_window`` consecutive sweeps
-        -- the signature of a loop with escape probability 0, whose
-        frontier recycles the same integer masses forever (the ZAR001
-        divergence case; see :func:`repro.inference.refine_until` for
-        the analyzer-backed version of this cap).
+        completely, when ``max_sweeps`` is exhausted, when a sweep has
+        left at least ``max_stations`` memoized stations, or when the
+        slack is bit-for-bit unchanged for ``stall_window`` consecutive
+        sweeps -- the signature of a loop with escape probability 0,
+        whose frontier recycles the same integer masses forever (the
+        ZAR001 divergence case; see :func:`repro.inference.refine_until`
+        for the analyzer-backed version of this cap).
         """
         t0 = time.perf_counter()
         if tree is not None:
@@ -354,6 +356,8 @@ class FixpointEngine:
             and self.frontier
             and self.sweeps - start < max_sweeps
             and unchanged < stall_window
+            and (max_stations is None
+                 or len(self.transitions) < max_stations)
         ):
             self.sweep()
             new_slack = self.slack()

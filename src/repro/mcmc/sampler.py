@@ -107,7 +107,6 @@ class MHSampler:
         self.max_init_restarts = max_init_restarts
         self._trace: Optional[Trace] = None
         self._state: Optional[State] = None
-        self._direct = None
         # Content digest identifying the posterior this chain targets
         # (None when the program contains opaque expressions).
         from repro.compiler.digest import Undigestable, fingerprint
@@ -187,28 +186,6 @@ class MHSampler:
             self.source.take_count(),
             program_digest=self.program_digest,
         )
-
-    def direct_sampler(self):
-        """The pipeline-compiled rejection sampler of the same posterior.
-
-        Compiled through the shared content-addressed cache, so the
-        comparison path (exact i.i.d. samples vs. correlated MH samples,
-        Table 2's bits-per-sample trade) costs nothing when the program
-        was already compiled elsewhere in the process -- or in a
-        previous process with a disk cache configured.  Returns None
-        when the program cannot be lowered to the batch engine.
-        """
-        if self._direct is None:
-            from repro.compiler.pipeline import compile_program
-            from repro.engine.table import LoweringError
-
-            try:
-                self._direct = compile_program(self.program, self.sigma)
-            except LoweringError:
-                self._direct = False
-        if self._direct is False:
-            return None
-        return self._direct.sampler()
 
 
 def run_chains(

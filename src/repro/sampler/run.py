@@ -11,7 +11,6 @@ from typing import Optional, Tuple
 
 from repro.bits.source import BitSource, ReplayBits
 from repro.itree.itree import ITree, Ret, Tau, Vis
-from repro.lang.state import State
 
 
 class FuelExhausted(Exception):
@@ -44,39 +43,6 @@ def run_itree(
             node = node.kont(source.next_bit())
             continue
         raise TypeError("not an interaction tree: %r" % (node,))
-
-
-def run_command(
-    command,
-    source: BitSource,
-    sigma: Optional[State] = None,
-    fuel: Optional[int] = None,
-) -> object:
-    """One sample of a cpGCL program against an explicit bit source.
-
-    Compiles through the staged pipeline (:mod:`repro.compiler`) -- so
-    repeated calls reuse the cached artifact -- and steps the node table
-    sequentially, which is bit-for-bit what :func:`run_itree` would
-    consume on the tied ITree of the same program.  Falls back to the
-    trampoline when the program cannot be lowered (e.g. an ``Opaque``
-    probability expression the debiaser cannot reduce).
-
-    ``fuel`` is a divergence guard, not a portable quantity: it bounds
-    node visits on the engine path but Tau/Vis steps on the trampoline
-    fallback, and the two counts differ for the same program -- size it
-    generously rather than tuning it to either path.
-    """
-    from repro.compiler.pipeline import compile_program
-    from repro.engine.table import LoweringError
-
-    try:
-        program = compile_program(command, sigma)
-    except LoweringError:
-        from repro.itree.unfold import cpgcl_to_itree
-
-        tree = cpgcl_to_itree(command, sigma if sigma is not None else State())
-        return run_itree(tree, source, fuel)
-    return program.sample(source, fuel)
 
 
 def run_with_bits(

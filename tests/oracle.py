@@ -370,8 +370,10 @@ def certified(name: str) -> OracleBounds:
 # -- sampling + assertions ----------------------------------------------
 
 #: The full engine/backend matrix the oracle certifies: the trampoline
-#: reference interpreter plus every batch-engine backend.
-SAMPLERS = ("trampoline", "sequential", "python", "numpy")
+#: reference interpreter, the one-sample table walker ("sequential",
+#: ``BatchSampler.sample`` over one pooled stream -- the fuel path), and
+#: every batch-engine backend.
+SAMPLERS = ("trampoline", "sequential", "python", "numpy", "native")
 
 
 def sample_values(
@@ -389,17 +391,20 @@ def sample_values(
     if sampler == "trampoline":
         from repro.engine.api import collect_auto
 
-        result = collect_auto(
+        return collect_auto(
             entry.build(), n, State(), seed=seed, extract=extract,
             engine="trampoline",
-        ).samples
-    else:
-        from repro.engine.api import BatchSampler
+        ).samples.values
+    from repro.engine.api import BatchSampler
+    from repro.engine.pool import BitPool
 
-        result = BatchSampler.from_command(entry.build(), State()).collect(
-            n, seed=seed, extract=extract, backend=sampler
-        )
-    return result.values
+    batch = BatchSampler.from_command(entry.build(), State())
+    if sampler == "sequential":
+        source = BitPool(seed)
+        return [extract(batch.sample(source)) for _ in range(n)]
+    return batch.collect(
+        n, seed=seed, extract=extract, backend=sampler
+    ).values
 
 
 def assert_matches_bounds(

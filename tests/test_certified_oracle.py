@@ -1,11 +1,12 @@
 """The certified-oracle tier (ISSUE 8).
 
 Every sampling path the repo ships -- the trampoline reference
-interpreter, the sequential driver, the pure-Python and numpy batch
-backends, and the compilation-cache paths (cold compile, warm table,
-freeze/thaw-resumed open table) -- must produce seeded samples whose
-Clopper-Pearson intervals intersect machine-checked posterior bounds
-computed by CF-DAG fixpoint iteration (``tests/oracle.py``).
+interpreter, the one-sample table walker, the pure-Python, numpy and
+native batch backends, and the compilation-cache paths (cold compile,
+warm table, freeze/thaw-resumed open table) -- must produce seeded
+samples whose Clopper-Pearson intervals intersect machine-checked
+posterior bounds computed by CF-DAG fixpoint iteration
+(``tests/oracle.py``).
 
 This replaces hand-derived constants with *certificates*: the bounds
 cannot be wrong, only loose, so an engine whose posterior drifts by

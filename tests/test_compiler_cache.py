@@ -177,6 +177,37 @@ class TestDiskCache:
         assert not loaded.table.needs_rebind  # pipeline ran thaw_bind
         assert loaded.table.pending_stubs == program.table.pending_stubs
 
+    @pytest.mark.parametrize(
+        "command", [n_sided_die(6), dueling_coins(Fraction(2, 3))],
+        ids=["die6", "dueling"],
+    )
+    def test_closed_artifact_uses_the_freeze_codec(self, tmp_path, command):
+        # One disk format: a closed table freezes like an open one, but
+        # its record holds nothing closure-bearing, so a disk hit skips
+        # the rebind (no tree rebuild, no "thaw" stage).
+        from repro.engine.freeze import FREEZE_VERSION
+
+        pipeline, _ = self._pipeline(tmp_path)
+        built = pipeline.compile(command)
+        assert not built.table.pending_stubs and not built.table.calls
+        (artifact,) = list(tmp_path.iterdir())
+        record = pickle.loads(artifact.read_bytes())
+        assert record["payload"]["table"]["freeze_version"] == FREEZE_VERSION
+
+        fresh, fresh_cache = self._pipeline(tmp_path)
+        loaded = fresh.compile(command)
+        assert loaded.source == "disk"
+        assert fresh_cache.stats()["disk_hits"] == 1
+        assert not loaded.table.needs_rebind
+        assert "thaw" not in loaded.stats
+        assert loaded.tree is None
+
+        def stream(program):
+            result = program.collect(300, seed=13, backend="python")
+            return result.values, result.bits
+
+        assert stream(loaded) == stream(built)
+
     def test_corrupt_file_is_a_miss(self, tmp_path):
         command = n_sided_die(6)
         pipeline, cache = self._pipeline(tmp_path)

@@ -1,5 +1,6 @@
 """Unit tests for the batch engine (table lowering, pools, drivers)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,59 @@ class TestSequentialDriver:
         ).values
         assert ENGINE_FAIL in values
         assert any(value is not ENGINE_FAIL for value in values)
+
+
+class TestExplicitSource:
+    """``collect(source=...)`` runs the pooled Python driver over the
+    source one bit at a time: chunking never changes the stream, and a
+    finite source runs out exactly where the one-sample walker's does."""
+
+    PREFIX = [bool(bit) for bit in random.Random(5).choices((0, 1), k=600)]
+
+    def _stepped(self, sampler, n, fuel):
+        source = ReplayBits(self.PREFIX)
+        values, bits = [], []
+        for _ in range(n):
+            before = source.consumed
+            values.append(sampler.sample(source, fuel))
+            bits.append(source.consumed - before)
+        return values, bits
+
+    @pytest.mark.parametrize("fuel", [None, 500])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_chunking_keeps_the_stream(self, batch_size, fuel):
+        sampler = BatchSampler.from_command(n_sided_die(6))
+        n = 60
+        whole = sampler.collect(n, source=ReplayBits(self.PREFIX), fuel=fuel)
+        chunked = sampler.collect(
+            n, source=ReplayBits(self.PREFIX), fuel=fuel,
+            batch_size=batch_size,
+        )
+        values, bits = self._stepped(sampler, n, fuel)
+        assert chunked.values == whole.values == values
+        assert chunked.bits == whole.bits == bits
+
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    def test_exhaustion_at_the_walker_position(self, batch_size):
+        sampler = BatchSampler.from_command(n_sided_die(6))
+        prefix = self.PREFIX[:100]
+        walker = ReplayBits(prefix)
+        with pytest.raises(BitsExhausted):
+            while True:
+                sampler.sample(walker)
+        collected = ReplayBits(prefix)
+        with pytest.raises(BitsExhausted):
+            sampler.collect(1000, source=collected, batch_size=batch_size)
+        assert collected.consumed == walker.consumed
+
+    def test_source_wins_over_the_requested_backend(self):
+        sampler = BatchSampler.from_command(n_sided_die(6))
+        python = sampler.collect(40, source=ReplayBits(self.PREFIX))
+        for backend in ("native", "numpy", "auto"):
+            other = sampler.collect(
+                40, source=ReplayBits(self.PREFIX), backend=backend
+            )
+            assert (other.values, other.bits) == (python.values, python.bits)
 
 
 class TestBatchDrivers:

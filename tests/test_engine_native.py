@@ -3,11 +3,12 @@
 The contract under test, in order of importance:
 
 1. **Bit-stream preservation.**  ``backend="native"`` is bit-for-bit
-   identical to the sequential reference (and the pooled Python
-   backend) at every seed: same payload stream, same per-sample bit
-   counts.  This holds on closed tables (the kernel runs) *and* on
-   refusals (open tables, fuel, disabled env), where the observable
-   downgrade re-runs the pooled Python driver on the same pool.
+   identical to the pooled Python backend (and to the one-sample
+   walker, ``BatchSampler.sample``, stepped over the same pool) at
+   every seed: same payload stream, same per-sample bit counts.  This
+   holds on closed tables (the kernel runs) *and* on refusals (open
+   tables, fuel, disabled env), where the observable downgrade re-runs
+   the pooled Python driver on the same pool.
 
 2. **Digest-keyed kernel cache.**  The kernel digest is computed over a
    canonical discovery-order renumbering, so the same program reaches
@@ -24,7 +25,7 @@ The contract under test, in order of importance:
    its stream depend on table *layout* (expansion history), so no
    identical-stream assertion can pin it across histories -- the gap
    documented in ``docs/architecture.md``.  Here we pin what *is*
-   invariant: the sequential/native tiers are layout-insensitive
+   invariant: the python/native tiers are layout-insensitive
    bit-for-bit, and the numpy stream stays distributionally exact
    (Clopper-Pearson at alpha=1e-9) under every expansion history.
 """
@@ -34,10 +35,11 @@ from fractions import Fraction
 
 import pytest
 
+from repro.bits.source import CountingBits
 from repro.compiler.cache import CompilationCache
 from repro.compiler.liveness import narrow_command
 from repro.compiler.pipeline import Pipeline
-from repro.engine import collect_auto
+from repro.engine import BatchSampler, BitPool, collect_auto
 from repro.engine.native import (
     KernelUnsupported,
     build_kernel,
@@ -74,7 +76,7 @@ requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy absent")
 
 @pytest.fixture(autouse=True)
 def _isolate_runtime():
-    """Tests mutate the kernel runtime (cache dirs, forced bindings);
+    """Tests mutate the kernel runtime (cache dirs, compiler env);
     reset it afterwards so no test sees another's memory tier."""
     yield
     reset_kernel_runtime()
@@ -91,6 +93,18 @@ def _stream(command, n, seed, backend, extract=None, fuel=None):
         command, n, seed=seed, extract=extract, backend=backend, fuel=fuel
     )
     return result.samples.values, result.samples.bits
+
+
+def _walked(sampler, n, seed, extract=None):
+    """(values, bits) from the one-sample walker over ``BitPool(seed)``:
+    the sequential reference every pooled backend must reproduce."""
+    source = CountingBits(BitPool(seed))
+    values, bits = [], []
+    for _ in range(n):
+        value = sampler.sample(source)
+        values.append(extract(value) if extract is not None else value)
+        bits.append(source.take_count())
+    return values, bits
 
 
 # -- 1. bit-stream preservation ------------------------------------------
@@ -117,8 +131,9 @@ class TestDifferential:
         self, name, command, extract, n, seed
     ):
         native = _stream(command, n, seed, "native", extract)
-        assert native == _stream(command, n, seed, "sequential", extract)
         assert native == _stream(command, n, seed, "python", extract)
+        sampler = BatchSampler.from_profile(command)
+        assert native == _walked(sampler, n, seed, extract)
 
     def test_open_table_downgrade_is_observable(self):
         result = collect_auto(
@@ -144,7 +159,7 @@ class TestDifferential:
         # The fig9b resume path (narrowed hare/tortoise): OP_CALL rows
         # make the table natively unsupported, so ``backend="native"``
         # on the thawed program must downgrade and still be bit-for-bit
-        # the sequential stream.
+        # the python stream and the one-sample walker's.
         command = narrow_command(
             hare_tortoise(Var("time") <= 10), observed=("t0", "time")
         )
@@ -164,7 +179,11 @@ class TestDifferential:
             )
             return result.values, result.bits
 
-        assert run("native") == run("sequential")
+        native = run("native")
+        assert native == run("python")
+        assert native == _walked(
+            thawed.sampler(), 80, 91, extract=lambda s: s["t0"]
+        )
 
 
 # -- 2. canonical encoding and the digest --------------------------------
@@ -310,28 +329,13 @@ class TestKernelCache:
         assert compiler_invocations() == before + 1
         assert kernel8.digest == d8
 
-    def test_ctypes_binding_matches_cffi(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZAR_NATIVE_CACHE_DIR", str(tmp_path))
-        command = dueling_coins(Fraction(1, 3))
-        reset_kernel_runtime()
-        default = _stream(command, 300, 17, "native", lambda s: s["a"])
-
-        monkeypatch.setenv("ZAR_NATIVE_FORCE_CTYPES", "1")
-        reset_kernel_runtime()
-        table = _compile(command).table
-        kernel, reason, _ = kernel_for(table)
-        assert kernel is not None, reason
-        assert kernel.kernel.binding.name == "ctypes"
-        forced = _stream(command, 300, 17, "native", lambda s: s["a"])
-        assert forced == default
-
 
 # -- 4. degraded environments --------------------------------------------
 
 class TestDegraded:
-    """These run (and matter most) on the CI leg where cffi and the C
-    toolchain are absent or disabled: the downgrade must be observable
-    and bit-identical, never an error."""
+    """These run (and matter most) on the CI legs where the C toolchain
+    is absent or disabled: the downgrade must be observable and
+    bit-identical, never an error."""
 
     def test_disabled_env_downgrades_bit_identically(self, monkeypatch):
         monkeypatch.setenv("ZAR_NATIVE_DISABLE", "1")
@@ -343,8 +347,8 @@ class TestDegraded:
         assert (result.samples.values, result.samples.bits) == _stream(
             command, 200, 13, "python"
         )
-        assert (result.samples.values, result.samples.bits) == _stream(
-            command, 200, 13, "sequential"
+        assert (result.samples.values, result.samples.bits) == _walked(
+            BatchSampler.from_profile(command), 200, 13
         )
 
     def test_missing_compiler_downgrades_bit_identically(self, monkeypatch):
@@ -456,11 +460,11 @@ def _prime_pmf(p=0.5, upto=31):
 
 @requires_numpy
 class TestNumpyLayoutGap:
-    """Why the native differential above compares against *sequential*
-    and *python* but never numpy: the numpy driver schedules lanes over
-    the physical table layout, so its bit stream is a function of
-    expansion history.  These tests pin the exact shape of that gap --
-    sequential tiers are layout-insensitive bit-for-bit, numpy is
+    """Why the native differential above compares against *python* and
+    the one-sample walker but never numpy: the numpy driver schedules
+    lanes over the physical table layout, so its bit stream is a
+    function of expansion history.  These tests pin the exact shape of
+    that gap -- the python tier is layout-insensitive bit-for-bit, numpy is
     pinned distributionally (order statistics against the exact pmf)
     under every history."""
 

@@ -8,9 +8,10 @@ what is sampled:
 - every registered profile, pinned explicitly through ``collect_auto``,
   is bit-for-bit identical to the equivalent pre-profile kwargs
   (``engine=``/``backend=``) at the same seed;
-- the ``batch-sequential`` profile is bit-for-bit identical to the
-  reference trampoline on a shared bit source (the cross-engine anchor
-  the differential suite pins per-sample; here at ``collect`` level);
+- the ``batch-python`` profile fed an explicit bit source is
+  bit-for-bit identical to the reference trampoline on that source
+  (the cross-engine anchor the differential suite pins per-sample; here
+  at ``collect`` level);
 - ``engine="auto"`` with no tuner engaged resolves to exactly
   :func:`~repro.engine.profile.static_profile` -- the old heuristic.
 
@@ -69,7 +70,6 @@ HEAVY_PROGRAMS = [
 EQUIVALENT_KWARGS = [
     ("trampoline", {"engine": "trampoline"}),
     ("batch-python", {"backend": "python"}),
-    ("batch-sequential", {"backend": "sequential"}),
     ("batch-numpy", {"backend": "numpy"}),
 ]
 
@@ -114,14 +114,14 @@ class TestDifferentialBitExactness:
     @pytest.mark.parametrize(
         "name,command,n", PROGRAMS, ids=[p[0] for p in PROGRAMS]
     )
-    def test_sequential_profile_matches_trampoline_on_shared_source(
+    def test_python_profile_matches_trampoline_on_shared_source(
         self, name, command, n
     ):
         reference = collect(
             cpgcl_to_itree(command, S0), n, source=BitPool(5)
         )
         sampler = BatchSampler.from_profile(
-            command, profile=profile_named("batch-sequential")
+            command, profile=profile_named("batch-python")
         )
         engine = sampler.collect(n, source=BitPool(5))
         _assert_same_samples(reference, engine, name)
@@ -199,16 +199,44 @@ class TestValidationErrors:
 
     def test_unknown_backend_lists_valid_set(self):
         with pytest.raises(
-            ValueError, match=r"auto, native, numpy, python, sequential"
+            ValueError, match=r"auto, native, numpy, python\)"
         ):
             collect_auto(n_sided_die(6), 10, backend="gpu")
 
     def test_batch_sampler_backend_error_lists_valid_set(self):
         sampler = BatchSampler.from_command(n_sided_die(6))
         with pytest.raises(
-            ValueError, match=r"auto, native, numpy, python, sequential"
+            ValueError, match=r"auto, native, numpy, python\)"
         ):
             sampler.collect(10, seed=0, backend="gpu")
+
+    def test_sequential_backend_is_gone(self):
+        # The per-sample backend folded into "python" (an explicit
+        # source runs there); naming it must fail loudly, not alias.
+        valid = r"auto, native, numpy, python\)"
+        with pytest.raises(ValueError, match=valid):
+            collect_auto(n_sided_die(6), 10, backend="sequential")
+        sampler = BatchSampler.from_command(n_sided_die(6))
+        with pytest.raises(ValueError, match=valid):
+            sampler.collect(10, seed=0, backend="sequential")
+        with pytest.raises(ValueError, match=valid):
+            validate_profile(EngineProfile(backend="sequential"))
+        assert "batch-sequential" not in PROFILES
+
+    def test_cli_rejects_sequential_backend(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.engine.api import BACKENDS
+
+        program = tmp_path / "die.gcl"
+        program.write_text("m <~ uniform(6);\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["sample", str(program), "--backend", "sequential"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "'sequential'" in err
+        listed = err.split("choose from", 1)[1]
+        for name in BACKENDS:
+            assert name in listed
 
     def test_unknown_profile_name_lists_registry(self):
         with pytest.raises(ValueError, match=r"batch-numpy.*trampoline"):
@@ -276,17 +304,19 @@ class TestFallbackObservability:
         # A kwarg-level backend override must show up in the reported
         # profile and the telemetry record -- the run should never be
         # attributed to the base profile's backend.
+        override = "python" if static_profile().backend != "python" \
+            else "native"
         configure_telemetry(str(tmp_path))
         try:
             result = collect_auto(
-                n_sided_die(6), 40, seed=5, backend="sequential"
+                n_sided_die(6), 40, seed=5, backend=override
             )
         finally:
             configure_telemetry(None)
-        assert result.profile.backend == "sequential"
-        assert result.profile.name.endswith("+sequential")
+        assert result.profile.backend == override
+        assert result.profile.name.endswith("+" + override)
         [record] = read_records(str(tmp_path / "telemetry.jsonl"))
-        assert record["backend"] == "sequential"
+        assert record["backend"] == override
 
 
 def _features(bucket_rows=8):
@@ -303,28 +333,28 @@ class TestEngineTuner:
 
     def test_exploit_picks_best_mean_throughput(self):
         tuner = EngineTuner(
-            epsilon=0.0, candidates=["batch-python", "batch-sequential"]
+            epsilon=0.0, candidates=["batch-python", "batch-numpy"]
         )
         features = _features()
         for _ in range(3):
             tuner.record(features, PROFILES["batch-python"], 100.0)
-            tuner.record(features, PROFILES["batch-sequential"], 10.0)
+            tuner.record(features, PROFILES["batch-numpy"], 10.0)
         assert tuner.choose(features).name == "batch-python"
         assert tuner.mean_throughput(features, "batch-python") == 100.0
 
     def test_untried_arm_is_tried_before_settling(self):
         tuner = EngineTuner(
-            epsilon=0.0, candidates=["batch-python", "batch-sequential"]
+            epsilon=0.0, candidates=["batch-python", "batch-numpy"]
         )
         features = _features()
-        tuner.record(features, PROFILES["batch-sequential"], 500.0)
+        tuner.record(features, PROFILES["batch-numpy"], 500.0)
         # batch-python has no data yet: optimistic initialization must
         # pick it once rather than starving it forever.
         assert tuner.choose(features).name == "batch-python"
 
     def test_buckets_do_not_share_statistics(self):
         tuner = EngineTuner(
-            epsilon=0.0, candidates=["batch-python", "batch-sequential"]
+            epsilon=0.0, candidates=["batch-python", "batch-numpy"]
         )
         small, large = _features(8), _features(4096)
         assert feature_bucket(small) != feature_bucket(large)
@@ -333,14 +363,14 @@ class TestEngineTuner:
 
     def test_epsilon_one_always_explores(self):
         tuner = EngineTuner(
-            epsilon=1.0, candidates=["batch-python", "batch-sequential"]
+            epsilon=1.0, candidates=["batch-python", "batch-numpy"]
         )
         features = _features()
         for _ in range(2):
             tuner.record(features, PROFILES["batch-python"], 100.0)
-            tuner.record(features, PROFILES["batch-sequential"], 10.0)
+            tuner.record(features, PROFILES["batch-numpy"], 10.0)
         chosen = {tuner.choose(features).name for _ in range(40)}
-        assert chosen == {"batch-python", "batch-sequential"}
+        assert chosen == {"batch-python", "batch-numpy"}
 
     def test_state_persists_and_reloads(self, tmp_path):
         path = str(tmp_path / "tuner.json")

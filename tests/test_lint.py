@@ -116,6 +116,26 @@ class TestGoldenExamples:
             assert report.count(Severity.ERROR) == 0, name
 
 
+class TestBitCost:
+    """ZAR009/ZAR008 numbers read off the fixpoint engine's masses."""
+
+    def test_die_entropy_and_expected_bits(self):
+        report, _ = lint_file("die.gcl")
+        [diag] = [d for d in report.diagnostics if d.code == "ZAR009"]
+        assert "entropy lower bound 2.585 bits/sample" in diag.message
+        assert "expects 3.667 bits/attempt" in diag.message
+        assert "unexplored" not in diag.message
+
+    def test_race_still_reports_incomplete(self):
+        report, _ = lint_file("hare_tortoise.gcl")
+        assert any(
+            d.code == "ZAR008" and "bit-cost analysis incomplete" in d.message
+            for d in report.diagnostics
+        )
+        assert "ZAR009" not in codes(report)
+        assert report.exit_code == 1
+
+
 class TestDiagnostics:
     def test_severity_labels(self):
         assert Severity.INFO.label == "info"
