@@ -270,32 +270,16 @@ def _print_engine_selection(prog, out: TextIO) -> None:
     here -- and in ``--engine``/``--profile`` help -- with no CLI edit.
     """
     from repro.engine.api import BACKENDS, ENGINES
-    from repro.engine.profile import (
-        PROFILES,
-        feature_bucket,
-        features_of,
-        static_profile,
-    )
-    from repro.engine.tuner import get_tuner, tuning_enabled
+    from repro.engine.profile import PROFILES, features_of, static_profile
 
     features = features_of(prog)
     print("  engines:       %s (backends: %s)" % (
         ", ".join(ENGINES), ", ".join(BACKENDS)), file=out)
     print("  profiles:      %s" % ", ".join(sorted(PROFILES)), file=out)
-    print("  features:      rows=%d %s H_branch=%.2f bucket=%s" % (
-        features.rows,
-        "closed" if features.closed else "open",
-        features.branch_entropy,
-        feature_bucket(features),
-    ), file=out)
-    if tuning_enabled():
-        choice = get_tuner().choose(features, explore=False)
-        policy = "tuned (state: %s)" % get_tuner().path
-    else:
-        choice = static_profile(features)
-        policy = "static prior"
-    print("  auto profile:  %s -- %s" % (choice.describe(), policy),
-          file=out)
+    print("  features:      rows=%d %s" % (
+        features.rows, "closed" if features.closed else "open"), file=out)
+    print("  auto profile:  %s -- static rule"
+          % static_profile(features).describe(), file=out)
 
 
 def cmd_sample(args, out: TextIO) -> int:

@@ -136,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     # adding a backend (e.g. "native") is a one-site change there.
     p_sample.add_argument(
         "--engine", choices=ENGINES, default="auto",
-        help="sampling path (%s): the vectorized batch engine; auto is "
-        "the measured policy (telemetry-backed when a tuner state is "
-        "configured) and falls back to the per-sample trampoline when "
+        help="sampling path (%s): the vectorized batch engine; auto "
+        "runs the native kernel on closed tables, else numpy, else pure "
+        "Python, and falls back to the per-sample trampoline when "
         "lowering fails" % "|".join(ENGINES),
     )
     p_sample.add_argument(

@@ -32,7 +32,6 @@ from repro.engine.profile import (
     PROFILES,
     EngineProfile,
     ProgramFeatures,
-    feature_bucket,
     features_of,
     profile_from_dict,
     profile_named,
@@ -45,7 +44,6 @@ from repro.engine.table import (
     TableOverflow,
     lower_cftree,
 )
-from repro.engine.tuner import EngineTuner, get_tuner, tuning_enabled
 
 __all__ = [
     "BACKENDS",
@@ -55,14 +53,11 @@ __all__ = [
     "ENGINES",
     "ENGINE_FAIL",
     "EngineProfile",
-    "EngineTuner",
     "PROFILES",
     "ProgramFeatures",
     "collect_auto",
     "collect_kernel",
-    "feature_bucket",
     "features_of",
-    "get_tuner",
     "HAVE_NUMPY",
     "kernel_for",
     "LoweringError",
@@ -78,5 +73,4 @@ __all__ = [
     "collect_python",
     "lower_cftree",
     "run_table",
-    "tuning_enabled",
 ]

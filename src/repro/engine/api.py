@@ -24,9 +24,9 @@ harness and benchmarks consume either interchangeably.  Backends:
 Engine selection lives in :mod:`repro.engine.profile`: an
 :class:`~repro.engine.profile.EngineProfile` bundles every knob
 (engine, backend, batch size, pass list, coalesce, narrowing, fuel,
-node budget), and :func:`collect_auto` resolves ``engine="auto"``
-through the telemetry-backed policy in :mod:`repro.engine.tuner` with
-the old static heuristic as the cold-start prior.
+node budget), and :func:`collect_auto` resolves ``engine="auto"`` with
+one static rule, :func:`~repro.engine.profile.static_profile`:
+``native`` for closed tables, else ``numpy``, else ``python``.
 """
 
 import time
@@ -108,7 +108,6 @@ def collect_auto(
     observed: Optional[Tuple[str, ...]] = None,
     profile: Optional[object] = None,
     backend: Optional[str] = None,
-    tuner: Optional[object] = None,
 ) -> CollectResult:
     """Engine-selection policy shared by the harness, CLI, and checkers.
 
@@ -116,16 +115,17 @@ def collect_auto(
     :class:`~repro.engine.profile.EngineProfile`.
 
     - ``profile`` pins the full strategy explicitly (CLI ``--profile``,
-      benchmarks, the tuner's arms); ``engine``/``backend`` are then
-      only used as overrides when passed.
+      benchmarks); ``engine``/``backend`` are then only used as
+      overrides when passed.
     - ``engine="auto"`` (no profile) tries the batch engine and falls
       back to the trampoline when lowering fails -- the fallback is
-      *observable* via ``CollectResult.fallback_reason``.  The backend
-      comes from the telemetry-backed tuner when one is engaged (a
-      ``tuner`` argument, or ``ZAR_TUNER_STATE``/a configured artifact
-      store; see :mod:`repro.engine.tuner`), else from the static
-      heuristic -- which is also the tuner's cold-start prior, so an
-      untrained tuner is behaviorally identical to no tuner.
+      *observable* via ``CollectResult.fallback_reason``.  The profile
+      is :func:`~repro.engine.profile.static_profile` of the compiled
+      program's features: ``native`` for a closed table (except under
+      ``fuel``, which only the Python drivers meter), else numpy, else
+      pure Python.  A closed table the kernel still refuses downgrades
+      to ``python`` bit-identically, with the refusal in
+      ``fallback_reason``.
     - ``engine="batch"`` propagates the :class:`LoweringError` instead
       of falling back; ``engine="trampoline"`` forces the per-sample
       reference driver.
@@ -144,7 +144,6 @@ def collect_auto(
     from repro.engine.profile import (
         PROFILES,
         features_of,
-        feature_bucket,
         static_profile,
         validate_profile,
     )
@@ -188,6 +187,8 @@ def collect_auto(
         return result
 
     # -- batch attempt ---------------------------------------------------
+    # Every profile static_profile returns compiles with batch-auto's
+    # knobs, so "auto" compiles once, before the rule picks a backend.
     compile_profile = resolved if resolved is not None \
         else PROFILES["batch-auto"]
     fallback_reason = None
@@ -201,42 +202,20 @@ def collect_auto(
 
     if program is not None:
         if resolved is None:
-            # engine="auto": pick the backend profile from features.
-            features = features_of(program)
-            active_tuner = tuner
-            if active_tuner is None:
-                from repro.engine.tuner import get_tuner, tuning_enabled
-
-                active_tuner = get_tuner() if tuning_enabled() else None
-            if active_tuner is not None:
-                resolved = active_tuner.choose(features)
-            else:
-                resolved = static_profile(features)
-            if (
-                resolved.passes != compile_profile.passes
-                or resolved.coalesce != compile_profile.coalesce
-                or resolved.max_nodes != compile_profile.max_nodes
-            ):
-                # The policy chose different compiler knobs: recompile
-                # (the artifact cache keys on them, so this is cheap
-                # when warm).
-                program = _compile_with(command, sigma, resolved)
-        else:
-            features = None
-            active_tuner = tuner
+            resolved = static_profile(features_of(program))
+            if resolved.backend == "native" and run_fuel is not None:
+                # The kernel cannot meter fuel: a metered run takes the
+                # rule's pooled default instead of a reported downgrade.
+                resolved = static_profile()
         run_backend = backend if backend is not None else resolved.backend
         if run_backend != resolved.backend:
             # A kwarg-level backend override is a manual pin, not a
             # policy decision: fold it into the reported profile so the
-            # CLI/telemetry say what actually ran, and keep the run out
-            # of the tuner's arm statistics (crediting the base arm
-            # with another backend's throughput would corrupt the
-            # policy).
+            # CLI/telemetry say what actually ran.
             resolved = resolved._replace(
                 name="%s+%s" % (resolved.name, run_backend),
                 backend=run_backend,
             )
-            active_tuner = None
         sampler = BatchSampler(program.table)
         start = time.perf_counter()
         try:
@@ -259,15 +238,9 @@ def collect_auto(
                 samples, "batch", len(sampler.table), resolved,
                 sampler.native_fallback, seconds
             )
-            if active_tuner is not None and seconds > 0:
-                if features is None:
-                    features = features_of(program)
-                active_tuner.record(features, resolved, n / seconds)
             _emit_run(
                 program, resolved, result, n,
                 cache_source=getattr(program, "source", None),
-                bucket=feature_bucket(features) if features is not None
-                else None,
                 kernel=sampler.native_info,
             )
             return result
@@ -284,7 +257,7 @@ def collect_auto(
 
 
 def _emit_run(program, profile, result: CollectResult, n: int,
-              cache_source=None, bucket=None, kernel=None) -> None:
+              cache_source=None, kernel=None) -> None:
     """Append a telemetry record for one run (no-op when disabled)."""
     from repro.telemetry import make_run_record, emit, telemetry_enabled
 
@@ -302,7 +275,6 @@ def _emit_run(program, profile, result: CollectResult, n: int,
             cache_source=cache_source,
             fallback_reason=result.fallback_reason,
             table_rows=result.table_nodes,
-            feature_bucket=bucket,
             kernel_cache=(kernel or {}).get("tier"),
             kernel_compile_ms=(kernel or {}).get("compile_ms"),
         )

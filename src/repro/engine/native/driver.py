@@ -21,7 +21,6 @@ prefixes it with ``native-unavailable`` in
 ``CollectResult.fallback_reason``.
 """
 
-import os
 from array import array
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -59,10 +58,13 @@ class BoundKernel(NamedTuple):
 #: slice fails to shrink the pending-stub count.
 _EXPAND_SLICE = 2048
 
+#: Total stub expansions one closure attempt may spend.
+_EXPAND_BUDGET = 65536
+
 #: Hard ceiling on encoded bit rows: beyond this the generated TU gets
 #: slow to compile and the cache entry large; the python/numpy backends
 #: handle it fine.
-_DEFAULT_MAX_ROWS = 200_000
+_MAX_ROWS = 200_000
 
 #: Chunks per kernel call: the first buffer is small (tiny collects
 #: stay cheap), later buffers are sized from the observed bits-per-
@@ -70,20 +72,6 @@ _DEFAULT_MAX_ROWS = 200_000
 #: consumes (generation is the main Python-side cost).
 _CHUNKS_MIN = 8
 _CHUNKS_MAX = 4096
-
-
-def _max_rows() -> int:
-    try:
-        return int(os.environ.get("ZAR_NATIVE_MAX_ROWS", _DEFAULT_MAX_ROWS))
-    except ValueError:
-        return _DEFAULT_MAX_ROWS
-
-
-def _expand_budget() -> int:
-    try:
-        return int(os.environ.get("ZAR_NATIVE_EXPAND", 65536))
-    except ValueError:
-        return 65536
 
 
 def _try_close(table) -> Optional[str]:
@@ -103,12 +91,11 @@ def _try_close(table) -> Optional[str]:
             "already bailed)" % table.pending_stubs
         )
     spent = 0
-    budget = _expand_budget()
     while table.pending_stubs:
-        if spent >= budget:
+        if spent >= _EXPAND_BUDGET:
             break
         before = table.pending_stubs
-        if table.expand_all(limit=min(_EXPAND_SLICE, budget - spent)):
+        if table.expand_all(limit=min(_EXPAND_SLICE, _EXPAND_BUDGET - spent)):
             return None
         spent += _EXPAND_SLICE
         if table.pending_stubs >= before:
@@ -151,10 +138,10 @@ def kernel_for(
         encoded = _encoded_for(table)
     except KernelUnsupported as err:
         return None, str(err), info
-    if len(encoded.a) > _max_rows():
+    if len(encoded.a) > _MAX_ROWS:
         return None, (
-            "table too large (%d bit rows > ZAR_NATIVE_MAX_ROWS=%d)"
-            % (len(encoded.a), _max_rows())
+            "table too large (%d bit rows > cap %d)"
+            % (len(encoded.a), _MAX_ROWS)
         ), info
     try:
         kernel, info = _kernel.build_kernel(encoded, cache_dir=cache_dir)

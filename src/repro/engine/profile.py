@@ -6,24 +6,19 @@ driver dispatch, and the CLI ``--engine`` plumbing.  A profile bundles
 every knob that selects *how* a program is sampled -- engine, backend,
 batch size, compiler pass list, coalesce strategy, liveness narrowing,
 fuel, and the table node budget -- into one serializable object that
-the pipeline, CLI, benchmarks, telemetry, and future ``serve``/
-``native`` backends all consume.
+the pipeline, CLI, benchmarks and telemetry all consume.
 
 Selection is purely a performance decision: every backend preserves the
 same per-sample i.i.d. bit-stream semantics, and the pooled backends
 (``python``, ``native``) are bit-for-bit identical to the reference
 trampoline on the same stream (the differential suite pins this), so
 swapping profiles can never change *what* is sampled -- only how fast.
-That is what makes a measured policy (:mod:`repro.engine.tuner`) safe
-to layer on top.
 
-Profiles are derived from *program features* exposed by the compiler
-(:func:`features_of` reads ``CompiledProgram.stats``): table rows,
-open/closed, branch entropy (:func:`repro.stats.entropy.shannon_entropy`
-over the table's fair-bit leaf distribution), and analysis verdicts
-from the lint layer.  :func:`static_profile` is the old ``engine="auto"``
-heuristic expressed as a function of those features; the tuner uses it
-as the cold-start prior.
+``engine="auto"`` is one static rule, :func:`static_profile`, over the
+program features :func:`features_of` reads from a ``CompiledProgram``
+(table rows and the open/closed lowering verdict): ``native`` for a
+closed table when a C compiler is available, else ``batch-numpy``, else
+``batch-python``.
 """
 
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -33,8 +28,6 @@ __all__ = [
     "EngineProfile",
     "PROFILES",
     "ProgramFeatures",
-    "branch_entropy",
-    "feature_bucket",
     "features_of",
     "profile_from_dict",
     "profile_named",
@@ -163,10 +156,10 @@ register_profile(EngineProfile(name="batch-numpy", engine="batch",
                                backend="numpy"))
 register_profile(EngineProfile(name="batch-python", engine="batch",
                                backend="python"))
-# The generated-C-kernel backend (closed tables; bit-identical Python
-# fallback otherwise).  Opt-in via --backend/--profile/the tuner: the
-# static prior below never selects it, so cold-start behavior -- and
-# the auto==static identity the differential tests pin -- is unchanged.
+# The generated-C-kernel backend: what ``engine="auto"`` runs on closed
+# tables (see static_profile).  A table the kernel refuses anyway -- too
+# large, compile failure -- downgrades observably and bit-identically
+# to the pooled Python backend.
 register_profile(EngineProfile(name="native", engine="batch",
                                backend="native"))
 
@@ -185,120 +178,51 @@ def profile_named(name: str) -> EngineProfile:
 # -- program features ----------------------------------------------------
 
 class ProgramFeatures(NamedTuple):
-    """The compiler-exposed features selection policies key on."""
+    """The compiler-exposed features the selection rule keys on."""
 
     rows: int
     closed: bool
-    branch_entropy: float
-    pruned_sites: int
-    digest: Optional[str]
-
-
-def branch_entropy(table, budget: int = 4096) -> float:
-    """Shannon entropy (bits) of the table's fair-bit leaf distribution.
-
-    Fair-bit mass is propagated from the root: each ``OP_BIT`` splits
-    its mass in half, jumps and calls forward it, leaves accumulate it.
-    Back-edges make the propagation non-terminating on rejection loops,
-    so the sweep is bounded by ``budget`` node visits -- mass decays
-    geometrically along loops, so the truncation error is tiny -- and
-    the collected leaf masses are renormalized before computing the
-    entropy via :func:`repro.stats.entropy.shannon_entropy`.  This is a
-    *feature*, not a semantics: policies use it to distinguish flat
-    high-fanout programs (the n=10000 die) from deep rejection-heavy
-    ones (dueling coins at p=1/20).
-    """
-    from repro.engine.table import (
-        OP_BIT,
-        OP_CALL,
-        OP_JMP,
-        OP_LEAF,
-    )
-    from repro.stats.entropy import shannon_entropy
-
-    if len(table) == 0:
-        return 0.0
-    leaf_mass: Dict[int, float] = {}
-    queue = [(table.root, 1.0)]
-    visits = 0
-    while queue and visits < budget:
-        index, mass = queue.pop()
-        visits += 1
-        if mass < 1e-12:
-            continue
-        op = table.op[index]
-        if op == OP_LEAF:
-            key = table.payload[index]
-            leaf_mass[key] = leaf_mass.get(key, 0.0) + mass
-        elif op == OP_BIT:
-            queue.append((table.a[index], mass * 0.5))
-            queue.append((table.b[index], mass * 0.5))
-        elif op in (OP_JMP, OP_CALL):
-            queue.append((table.a[index], mass))
-        # OP_FAIL / OP_STUB: unresolved mass, dropped before normalizing.
-    total = sum(leaf_mass.values())
-    if total <= 0.0:
-        return 0.0
-    return shannon_entropy(
-        {key: mass / total for key, mass in leaf_mass.items()}
-    )
 
 
 def features_of(program) -> ProgramFeatures:
     """Extract :class:`ProgramFeatures` from a ``CompiledProgram``.
 
-    Reads ``program.stats`` where available (built artifacts) and falls
-    back to the table itself (disk-rehydrated artifacts carry stats from
-    the *building* process; rows may have grown since via JIT
-    expansion).
+    ``closed`` is the lowering verdict recorded in ``program.stats``
+    (every loop state expanded at compile time; disk-rehydrated
+    artifacts carry the *building* process's verdict) and falls back to
+    the table's pending stubs when no stats exist.  A table with
+    ``OP_CALL`` rows is never closed: its return continuations lower
+    lazily during sampling.  Later JIT expansion does not change a
+    recorded verdict, so ``engine="auto"`` picks the same profile for a
+    program whatever ran on its table before.
     """
     table = program.table
     stats = getattr(program, "stats", None) or {}
-    lower = stats.get("lower") or {}
-    closed = lower.get("closed")
+    closed = (stats.get("lower") or {}).get("closed")
     if closed is None:
-        closed = not (table.pending_stubs or table.calls)
-    analysis = stats.get("analysis") or {}
+        closed = not table.pending_stubs
     return ProgramFeatures(
-        rows=len(table),
-        closed=bool(closed),
-        branch_entropy=branch_entropy(table),
-        pruned_sites=int(analysis.get("pruned_sites", 0) or 0),
-        digest=getattr(program, "digest", None),
+        rows=len(table), closed=bool(closed) and not table.calls
     )
 
 
-def feature_bucket(features: ProgramFeatures) -> str:
-    """Coarse feature key the tuner's arm statistics are grouped by.
-
-    Buckets must be coarse enough that throughput recorded on one
-    program transfers to similar ones, and fine enough that closed
-    16-row dice and open million-state races never share a policy.
-    """
-    if features.rows <= 16:
-        size = "xs"
-    elif features.rows <= 64:
-        size = "s"
-    elif features.rows <= 512:
-        size = "m"
-    else:
-        size = "l"
-    entropy = features.branch_entropy
-    if entropy < 2.0:
-        band = "lo"
-    elif entropy < 6.0:
-        band = "mid"
-    else:
-        band = "hi"
-    return "%s:%s:%s" % ("closed" if features.closed else "open", size, band)
-
-
 def static_profile(features: Optional[ProgramFeatures] = None) -> EngineProfile:
-    """The pre-tuner heuristic as a profile: batch engine, best available
-    backend.  This is both the default policy when no telemetry exists
-    and the baseline the perf-policy CI gate measures the tuner against.
+    """The ``engine="auto"`` rule: ``native`` for a closed table when a
+    kernel can be built here, else ``batch-numpy`` when numpy is
+    installed, else ``batch-python``.
+
+    The rule keys on ``closed`` rather than on "a kernel resolves"
+    because resolving is what costs: on an open table the kernel
+    resolver first spends a bounded closure attempt (tens of thousands
+    of stub expansions on Table 8's Gaussian) and then refuses.
+    Without ``features`` nothing is known about the table, so the rule
+    takes the numpy/python default.
     """
     from repro.engine.pool import HAVE_NUMPY
 
-    name = "batch-numpy" if HAVE_NUMPY else "batch-python"
-    return PROFILES[name]
+    if features is not None and features.closed:
+        from repro.engine.native import native_available
+
+        if native_available():
+            return PROFILES["native"]
+    return PROFILES["batch-numpy" if HAVE_NUMPY else "batch-python"]

@@ -1,9 +1,7 @@
 """Run telemetry: JSONL records of what sampled, how, and how fast.
 
 See :mod:`repro.telemetry.record` for the schema and the
-``ZAR_TELEMETRY_DIR`` knob.  The engine tuner
-(:mod:`repro.engine.tuner`) and the ``perf-policy`` CI gate consume
-these records.
+``ZAR_TELEMETRY_DIR`` knob.
 """
 
 from repro.telemetry.record import (

@@ -6,9 +6,7 @@ telemetry log: program digest, the :class:`~repro.engine.profile.
 EngineProfile` that ran, wall-clock seconds, samples per second, bits
 consumed, which cache tier served the artifact, and -- when a batch
 lowering failed -- the stringified ``LoweringError`` that forced the
-trampoline fallback.  The recorded-throughput tuner
-(:mod:`repro.engine.tuner`) and the ``perf-policy`` CI gate both feed
-on these records.
+trampoline fallback.
 
 Telemetry is **off by default** and costs one dict check per run when
 off.  Enable it with the ``ZAR_TELEMETRY_DIR`` environment variable or
@@ -39,7 +37,7 @@ TELEMETRY_ENV = "ZAR_TELEMETRY_DIR"
 TELEMETRY_FILENAME = "telemetry.jsonl"
 
 #: Bump when the record schema changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _configured: Optional[str] = None
 _explicitly_disabled = False
@@ -90,7 +88,6 @@ def make_run_record(
     cache_source: Optional[str] = None,
     fallback_reason: Optional[str] = None,
     table_rows: int = 0,
-    feature_bucket: Optional[str] = None,
     kind: str = "collect",
     kernel_cache: Optional[str] = None,
     kernel_compile_ms: Optional[float] = None,
@@ -119,7 +116,6 @@ def make_run_record(
         "cache_source": cache_source,
         "fallback_reason": fallback_reason,
         "table_rows": table_rows,
-        "feature_bucket": feature_bucket,
         "kernel_cache": kernel_cache,
         "kernel_compile_ms": kernel_compile_ms,
     }

@@ -72,6 +72,11 @@ class TestCompile:
         assert "size:" in text
         assert "unbiased:  True" in text
         assert "E[bits]:   11/3" in text
+        features = next(
+            line for line in text.splitlines() if "features:" in line
+        )
+        assert features.split()[-1] == "closed"
+        assert "-- static rule" in text
 
     def test_debias_stage_label(self, programs_dir):
         code, text = run_cli(

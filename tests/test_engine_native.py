@@ -18,8 +18,8 @@ The contract under test, in order of importance:
 
 3. **Observability.**  Every refusal surfaces as a
    ``"native-unavailable: ..."`` fallback note; kernel cache tier and
-   compile time land in telemetry records; the tuner only offers the
-   ``native`` arm when a compiler exists.
+   compile time land in telemetry records; ``engine="auto"`` only picks
+   ``native`` where a kernel can be built.
 
 4. **The numpy contrast.**  The numpy backend's lane scheduling makes
    its stream depend on table *layout* (expansion history), so no
@@ -54,7 +54,6 @@ from repro.engine.native import (
 )
 from repro.engine.pool import HAVE_NUMPY
 from repro.engine.profile import profile_named
-from repro.engine.tuner import EngineTuner
 from repro.lang.expr import Var
 from repro.lang.sugar import (
     dueling_coins,
@@ -351,6 +350,16 @@ class TestDegraded:
             BatchSampler.from_profile(command), 200, 13
         )
 
+    def test_disabled_env_keeps_auto_off_native(self, monkeypatch):
+        # The auto rule asks native_available() first, so a disabled
+        # backend is no downgrade: auto takes the pooled default.
+        monkeypatch.setenv("ZAR_NATIVE_DISABLE", "1")
+        result = collect_auto(n_sided_die(6), 200, seed=13)
+        assert result.profile.name == (
+            "batch-numpy" if HAVE_NUMPY else "batch-python"
+        )
+        assert result.fallback_reason is None
+
     def test_missing_compiler_downgrades_bit_identically(self, monkeypatch):
         # Clear the disable knob so this exercises the *compiler* path
         # even on the CI leg that exports ZAR_NATIVE_DISABLE=1.
@@ -385,9 +394,19 @@ class TestDegraded:
         assert (result.samples.values, result.samples.bits) == _stream(
             command, 100, 21, "python"
         )
+        # The auto rule picks native for the closed die; the refusal
+        # downgrades it the same way.
+        auto = collect_auto(command, 100, seed=21)
+        assert auto.profile.name == "native"
+        assert auto.fallback_reason.startswith(
+            "native-unavailable: kernel compile failed"
+        )
+        assert (auto.samples.values, auto.samples.bits) == (
+            result.samples.values, result.samples.bits
+        )
 
 
-# -- 5. seams: profile, tuner, telemetry, status line --------------------
+# -- 5. seams: profile, telemetry, status line ---------------------------
 
 @requires_native
 class TestSeams:
@@ -402,13 +421,6 @@ class TestSeams:
         assert result.engine == "batch"
         assert result.fallback_reason is None
         assert result.profile is profile
-
-    def test_tuner_offers_native_arm_when_available(self):
-        assert "native" in EngineTuner().candidates()
-
-    def test_tuner_drops_native_arm_when_unavailable(self, monkeypatch):
-        monkeypatch.setenv("ZAR_NATIVE_DISABLE", "1")
-        assert "native" not in EngineTuner().candidates()
 
     def test_telemetry_records_kernel_tier(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ZAR_NATIVE_CACHE_DIR", str(tmp_path / "kernels"))

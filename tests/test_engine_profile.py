@@ -1,5 +1,6 @@
 """The EngineProfile seam: differential bit-exactness, serialization,
-telemetry, validation errors, fallback observability, and the tuner.
+telemetry, validation errors, fallback observability, and the
+``engine="auto"`` rule.
 
 The refactor's contract is that extracting engine selection into
 :class:`repro.engine.profile.EngineProfile` changed *nothing* about
@@ -12,8 +13,10 @@ what is sampled:
   bit-for-bit identical to the reference trampoline on that source
   (the cross-engine anchor the differential suite pins per-sample; here
   at ``collect`` level);
-- ``engine="auto"`` with no tuner engaged resolves to exactly
-  :func:`~repro.engine.profile.static_profile` -- the old heuristic.
+- ``engine="auto"`` resolves to exactly
+  :func:`~repro.engine.profile.static_profile` of the compiled
+  program's features: ``native`` on closed tables where a kernel can
+  be built, else numpy, else pure Python.
 
 On top of that, the seam must be *observable*: profiles serialize
 losslessly into telemetry JSONL records, silent batch-to-trampoline
@@ -27,12 +30,13 @@ from fractions import Fraction
 
 import pytest
 
+from repro.compiler import cache as compiler_cache
+from repro.compiler.pipeline import compile_program
 from repro.engine import BatchSampler, BitPool, collect_auto
+from repro.engine.native import native_available
 from repro.engine.profile import (
     PROFILES,
     EngineProfile,
-    ProgramFeatures,
-    feature_bucket,
     features_of,
     profile_from_dict,
     profile_named,
@@ -40,7 +44,6 @@ from repro.engine.profile import (
     validate_profile,
 )
 from repro.engine.pool import HAVE_NUMPY
-from repro.engine.tuner import EngineTuner, default_state_path, tuning_enabled
 from repro.itree.unfold import cpgcl_to_itree
 from repro.lang.expr import Var
 from repro.lang.state import State
@@ -130,20 +133,22 @@ class TestDifferentialBitExactness:
         "name,command,n", PROGRAMS, ids=[p[0] for p in PROGRAMS]
     )
     def test_auto_resolves_to_static_profile(self, name, command, n):
-        # No tuner engaged: engine="auto" must be the static heuristic,
-        # bit for bit (the cold-start-identity guarantee).
+        # engine="auto" is the static rule over the compiled program's
+        # features, bit for bit.
+        rule = static_profile(features_of(compile_program(command)))
         auto = collect_auto(command, n, seed=31)
-        pinned = collect_auto(command, n, seed=31, profile=static_profile())
+        pinned = collect_auto(command, n, seed=31, profile=rule)
         _assert_same_samples(auto.samples, pinned.samples, name)
-        assert auto.profile.name == static_profile().name
+        assert auto.profile == rule
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "name,command,n", HEAVY_PROGRAMS, ids=[p[0] for p in HEAVY_PROGRAMS]
     )
     def test_heavy_program_profiles_agree(self, name, command, n):
+        rule = static_profile(features_of(compile_program(command)))
         auto = collect_auto(command, n, seed=47)
-        pinned = collect_auto(command, n, seed=47, profile=static_profile())
+        pinned = collect_auto(command, n, seed=47, profile=rule)
         _assert_same_samples(auto.samples, pinned.samples, name)
 
 
@@ -168,12 +173,12 @@ class TestSerializationAndTelemetry:
         assert telemetry_path() == str(tmp_path / "telemetry.jsonl")
         assert len(records) == 1
         record = records[0]
-        assert record["schema"] == 1
+        assert record["schema"] == 2
         assert record["engine"] == "batch"
         assert record["n"] == 50
         assert record["digest"], "run record must carry the program digest"
         assert record["fallback_reason"] is None
-        assert record["feature_bucket"]
+        assert "feature_bucket" not in record
         assert record["samples_per_sec"] is None or record["samples_per_sec"] > 0
         assert profile_from_dict(record["profile"]) == result.profile
 
@@ -304,8 +309,8 @@ class TestFallbackObservability:
         # A kwarg-level backend override must show up in the reported
         # profile and the telemetry record -- the run should never be
         # attributed to the base profile's backend.
-        override = "python" if static_profile().backend != "python" \
-            else "native"
+        rule = static_profile(features_of(compile_program(n_sided_die(6))))
+        override = "python" if rule.backend != "python" else "native"
         configure_telemetry(str(tmp_path))
         try:
             result = collect_auto(
@@ -319,96 +324,51 @@ class TestFallbackObservability:
         assert record["backend"] == override
 
 
-def _features(bucket_rows=8):
-    return ProgramFeatures(
-        rows=bucket_rows, closed=True, branch_entropy=2.5,
-        pruned_sites=0, digest="d" * 8,
+_POOLED_DEFAULT = "batch-numpy" if HAVE_NUMPY else "batch-python"
+
+requires_native = pytest.mark.skipif(
+    not native_available(),
+    reason="no C compiler available (or ZAR_NATIVE_DISABLE set)",
+)
+
+
+class TestAutoRule:
+    @requires_native
+    @pytest.mark.parametrize(
+        "name,command,n", PROGRAMS[:3], ids=[p[0] for p in PROGRAMS[:3]]
     )
+    def test_closed_tables_run_native(self, name, command, n):
+        auto = collect_auto(command, n, seed=37)
+        assert auto.profile.name == "native"
+        assert auto.fallback_reason is None
+        python = collect_auto(command, n, seed=37,
+                              profile=profile_named("batch-python"))
+        _assert_same_samples(auto.samples, python.samples, name)
 
+    def test_open_table_takes_pooled_default(self):
+        auto = collect_auto(geometric_primes(Fraction(1, 2)), 50, seed=37)
+        assert auto.profile.name == _POOLED_DEFAULT
+        assert auto.fallback_reason is None
 
-class TestEngineTuner:
-    def test_cold_start_is_static_heuristic(self):
-        tuner = EngineTuner()
-        assert tuner.choose(_features()) == static_profile()
+    def test_fuel_keeps_auto_off_native(self):
+        # The kernel cannot meter fuel: a metered auto run never picks
+        # native, so it never reports a downgrade either.
+        auto = collect_auto(n_sided_die(6), 50, seed=37, fuel=1000)
+        assert auto.profile.name == _POOLED_DEFAULT
+        assert auto.fallback_reason is None
 
-    def test_exploit_picks_best_mean_throughput(self):
-        tuner = EngineTuner(
-            epsilon=0.0, candidates=["batch-python", "batch-numpy"]
-        )
-        features = _features()
-        for _ in range(3):
-            tuner.record(features, PROFILES["batch-python"], 100.0)
-            tuner.record(features, PROFILES["batch-numpy"], 10.0)
-        assert tuner.choose(features).name == "batch-python"
-        assert tuner.mean_throughput(features, "batch-python") == 100.0
-
-    def test_untried_arm_is_tried_before_settling(self):
-        tuner = EngineTuner(
-            epsilon=0.0, candidates=["batch-python", "batch-numpy"]
-        )
-        features = _features()
-        tuner.record(features, PROFILES["batch-numpy"], 500.0)
-        # batch-python has no data yet: optimistic initialization must
-        # pick it once rather than starving it forever.
-        assert tuner.choose(features).name == "batch-python"
-
-    def test_buckets_do_not_share_statistics(self):
-        tuner = EngineTuner(
-            epsilon=0.0, candidates=["batch-python", "batch-numpy"]
-        )
-        small, large = _features(8), _features(4096)
-        assert feature_bucket(small) != feature_bucket(large)
-        tuner.record(small, PROFILES["batch-python"], 100.0)
-        assert tuner.choose(large) == static_profile()
-
-    def test_epsilon_one_always_explores(self):
-        tuner = EngineTuner(
-            epsilon=1.0, candidates=["batch-python", "batch-numpy"]
-        )
-        features = _features()
-        for _ in range(2):
-            tuner.record(features, PROFILES["batch-python"], 100.0)
-            tuner.record(features, PROFILES["batch-numpy"], 10.0)
-        chosen = {tuner.choose(features).name for _ in range(40)}
-        assert chosen == {"batch-python", "batch-numpy"}
-
-    def test_state_persists_and_reloads(self, tmp_path):
-        path = str(tmp_path / "tuner.json")
-        tuner = EngineTuner(path=path, epsilon=0.0,
-                            candidates=["batch-python"])
-        features = _features()
-        tuner.record(features, PROFILES["batch-python"], 250.0)
-        assert tuner.saves == 1
-
-        reloaded = EngineTuner(path=path, epsilon=0.0,
-                               candidates=["batch-python"])
-        assert reloaded.loads == 1
-        assert reloaded.mean_throughput(features, "batch-python") == 250.0
-
-    def test_corrupt_state_is_cold_start(self, tmp_path):
-        path = tmp_path / "tuner.json"
-        path.write_text("{not json")
-        tuner = EngineTuner(path=str(path))
-        assert tuner.state == {}
-        assert tuner.choose(_features()) == static_profile()
-
-    def test_tuning_enabled_follows_env(self, monkeypatch):
-        monkeypatch.delenv("ZAR_TUNER_STATE", raising=False)
-        monkeypatch.delenv("ZAR_COMPILE_CACHE_DIR", raising=False)
-        assert not tuning_enabled()
-        monkeypatch.setenv("ZAR_TUNER_STATE", "/tmp/t.json")
-        assert tuning_enabled()
-        assert default_state_path() == "/tmp/t.json"
-
-    def test_engaged_tuner_records_routed_runs(self, tmp_path):
-        path = str(tmp_path / "tuner.json")
-        tuner = EngineTuner(path=path, epsilon=0.0)
-        collect_auto(n_sided_die(6), 40, seed=2, tuner=tuner)
-        assert sum(
-            stats[0]
-            for arms in tuner.state.values()
-            for stats in arms.values()
-        ) == 1
-        # The recorded arm is the one the policy resolved.
-        [(bucket, arms)] = list(tuner.state.items())
-        assert static_profile().name in arms
+    def test_artifact_store_leaves_resolution_alone(
+        self, tmp_path, monkeypatch
+    ):
+        # A configured artifact store is no policy input: auto resolves
+        # and samples the same with one, and writes only artifacts.
+        command = n_sided_die(6)
+        plain = collect_auto(command, 200, seed=41)
+        monkeypatch.setenv("ZAR_COMPILE_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(compiler_cache, "_GLOBAL",
+                            compiler_cache.CompilationCache())
+        stored = collect_auto(command, 200, seed=41)
+        assert compiler_cache.get_cache().disk_dir == str(tmp_path)
+        assert stored.profile == plain.profile
+        _assert_same_samples(stored.samples, plain.samples, "die6")
+        assert not (tmp_path / "tuner.json").exists()
