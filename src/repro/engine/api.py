@@ -35,7 +35,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 from repro.bits.source import BitSource
 from repro.cftree.tree import CFTree
 from repro.engine import driver as _driver
-from repro.engine.pool import BitPool, HAVE_NUMPY, SourcePool
+from repro.engine.pool import BitPool, SourcePool
 from repro.engine.table import LoweringError, NodeTable
 from repro.lang.state import State
 from repro.lang.syntax import Command
@@ -121,11 +121,12 @@ def collect_auto(
       back to the trampoline when lowering fails -- the fallback is
       *observable* via ``CollectResult.fallback_reason``.  The profile
       is :func:`~repro.engine.profile.static_profile` of the compiled
-      program's features: ``native`` for a closed table (except under
-      ``fuel``, which only the Python drivers meter), else numpy, else
-      pure Python.  A closed table the kernel still refuses downgrades
-      to ``python`` bit-identically, with the refusal in
-      ``fallback_reason``.
+      program's features: ``native`` for a closed table, else numpy,
+      else pure Python.  Under ``fuel`` (only the Python drivers meter
+      it) or a pinned ``backend`` the rule skips ``native``; a pinned
+      backend the rule did not pick reads ``<profile>+<backend>``.  A
+      closed table the kernel still refuses downgrades to ``python``
+      bit-identically, with the refusal in ``fallback_reason``.
     - ``engine="batch"`` propagates the :class:`LoweringError` instead
       of falling back; ``engine="trampoline"`` forces the per-sample
       reference driver.
@@ -202,11 +203,12 @@ def collect_auto(
 
     if program is not None:
         if resolved is None:
-            resolved = static_profile(features_of(program))
-            if resolved.backend == "native" and run_fuel is not None:
-                # The kernel cannot meter fuel: a metered run takes the
-                # rule's pooled default instead of a reported downgrade.
-                resolved = static_profile()
+            # The kernel cannot meter fuel, and a pinned backend is a
+            # manual choice: both take the rule's pooled default.
+            features = features_of(program)
+            resolved = static_profile(
+                features if run_fuel is None and backend is None else None
+            )
         run_backend = backend if backend is not None else resolved.backend
         if run_backend != resolved.backend:
             # A kwarg-level backend override is a manual pin, not a
@@ -462,7 +464,9 @@ class BatchSampler:
             backend = "python"
             pool = SourcePool(source)
         elif backend == "auto":
-            backend = "numpy" if HAVE_NUMPY else "python"
+            from repro.engine.profile import static_profile
+
+            backend = static_profile().backend
 
         if batch_size is not None and batch_size <= 0:
             raise ValueError("batch_size must be positive or None")

@@ -147,6 +147,10 @@ def kernel_for(
         kernel, info = _kernel.build_kernel(encoded, cache_dir=cache_dir)
     except _kernel.KernelCompileError as err:
         return None, "kernel compile failed: %s" % err, info
+    except (_kernel.KernelCacheError, OSError) as err:
+        # An unloadable fresh object (e.g. a noexec temp dir) or an
+        # unwritable/full kernel store.
+        return None, "kernel load failed: %s" % err, info
     return BoundKernel(kernel, array("i", encoded.payload_map)), None, info
 
 

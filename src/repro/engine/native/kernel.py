@@ -4,8 +4,8 @@ The kernel store is content-addressed and lives **next to the artifact
 store**: ``ZAR_NATIVE_CACHE_DIR`` names it explicitly, else it is the
 ``kernels/`` subdirectory of the compilation cache's disk tier
 (``configure_cache(disk_dir=...)`` / ``ZAR_COMPILE_CACHE_DIR``), else a
-per-process temporary directory (kernels still dedupe within the
-process, just not across processes).
+per-process temporary directory, removed at exit (kernels still
+dedupe within the process, just not across processes).
 
 Cache key anatomy -- three independent invalidation axes:
 
@@ -29,6 +29,7 @@ requires a C compiler on ``PATH`` (or ``ZAR_NATIVE_CC``) and
 ``ZAR_NATIVE_DISABLE`` unset.
 """
 
+import atexit
 import ctypes
 import hashlib
 import os
@@ -78,6 +79,10 @@ _FINGERPRINT: Optional[str] = None
 _TMP_DIR: Optional[str] = None
 #: Private snapshot dir for dlopen (see :func:`_load_validated`).
 _LOAD_DIR: Optional[str] = None
+#: ``.so`` path -> (error class, message) of a fresh build or load that
+#: failed in this process: a broken toolchain or a noexec temp dir is
+#: not retried on every collect.
+_FAILED: Dict[str, Tuple[type, str]] = {}
 #: How many times this process ran the C compiler (tests assert on it).
 _INVOCATIONS = 0
 
@@ -95,9 +100,26 @@ def reset_kernel_runtime() -> None:
     """
     global _FINGERPRINT, _TMP_DIR, _LOAD_DIR
     _MEMORY.clear()
+    _FAILED.clear()
     _FINGERPRINT = None
     _TMP_DIR = None
     _LOAD_DIR = None
+
+
+def _private_dir(prefix: str) -> str:
+    """A fresh temp dir, removed when this process exits.
+
+    Unlinking a mapped ``.so`` is safe on POSIX.  The pid check keeps a
+    forked child that exits normally from removing its parent's dir.
+    """
+    path = tempfile.mkdtemp(prefix=prefix)
+    atexit.register(_remove_private_dir, path, os.getpid())
+    return path
+
+
+def _remove_private_dir(path: str, owner: int) -> None:
+    if os.getpid() == owner:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 # -- environment probes --------------------------------------------------
@@ -156,7 +178,7 @@ def kernel_cache_dir() -> str:
     if disk_dir:
         return os.path.join(disk_dir, "kernels")
     if _TMP_DIR is None:
-        _TMP_DIR = tempfile.mkdtemp(prefix="zar-kernels-")
+        _TMP_DIR = _private_dir("zar-kernels-")
     return _TMP_DIR
 
 
@@ -217,7 +239,7 @@ def _snapshot_for_load(path: str) -> str:
     """
     global _LOAD_DIR
     if _LOAD_DIR is None:
-        _LOAD_DIR = tempfile.mkdtemp(prefix="zar-kernel-load-")
+        _LOAD_DIR = _private_dir("zar-kernel-load-")
     fd, snapshot = tempfile.mkstemp(dir=_LOAD_DIR, suffix=".so")
     os.close(fd)
     shutil.copyfile(path, snapshot)
@@ -301,7 +323,10 @@ def build_kernel(
     surface: ``tier`` (``"memory"`` / ``"disk"`` / ``"compiled"``),
     ``compile_ms`` (``None`` unless freshly compiled), ``digest``, and
     ``c_path`` (the kept source, for the CI artifact).  Raises
-    :class:`KernelCompileError` when the toolchain is unusable.
+    :class:`KernelCompileError` when the toolchain is unusable,
+    :class:`KernelCacheError` when a fresh object will not load, and
+    ``OSError`` when the store is unwritable; a fresh build that failed
+    raises the same error again for the rest of the process.
     """
     digest = encoded_digest(encoded)
     directory = cache_dir if cache_dir is not None else kernel_cache_dir()
@@ -336,6 +361,10 @@ def build_kernel(
                     % (code, low, rows)
                 )
 
+    failed = _FAILED.get(so_path)
+    if failed is not None:
+        raise failed[0](failed[1])
+
     if os.path.exists(so_path):
         try:
             kernel = _load_validated(so_path, digest, len(encoded.payload_map))
@@ -353,9 +382,13 @@ def build_kernel(
 
     source = render_c(encoded, digest)
     start = time.perf_counter()
-    _write_source(c_path, source)
-    _compile(c_path, so_path)
-    kernel = _load_validated(so_path, digest, len(encoded.payload_map))
+    try:
+        _write_source(c_path, source)
+        _compile(c_path, so_path)
+        kernel = _load_validated(so_path, digest, len(encoded.payload_map))
+    except (KernelCompileError, KernelCacheError, OSError) as err:
+        _FAILED[so_path] = (type(err), str(err))
+        raise
     info["tier"] = "compiled"
     info["compile_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     _MEMORY[digest] = kernel

@@ -31,7 +31,10 @@ The contract under test, in order of importance:
 """
 
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -405,6 +408,55 @@ class TestDegraded:
             result.samples.values, result.samples.bits
         )
 
+    def test_unloadable_kernel_downgrades_bit_identically(
+        self, tmp_path, monkeypatch
+    ):
+        # A kernel that builds but will not dlopen (a noexec temp dir,
+        # say) is a refusal like any other, and the failed build is not
+        # retried on the next call.
+        monkeypatch.delenv("ZAR_NATIVE_DISABLE", raising=False)
+        monkeypatch.setenv("ZAR_NATIVE_CC", str(tmp_path / "cc"))
+        monkeypatch.setenv("ZAR_NATIVE_CACHE_DIR", str(tmp_path / "cache"))
+        reset_kernel_runtime()
+        builds = []
+
+        def build_unloadable(c_path, so_path):
+            builds.append(so_path)
+            Path(so_path).write_bytes(b"")
+
+        monkeypatch.setattr(
+            "repro.engine.native.kernel._compile", build_unloadable
+        )
+        command = n_sided_die(6)
+        expected = _stream(command, 100, 21, "python")
+        for _ in range(2):
+            result = collect_auto(command, 100, seed=21)
+            assert result.profile.name == "native"
+            assert result.fallback_reason.startswith(
+                "native-unavailable: kernel load failed"
+            )
+            assert (result.samples.values, result.samples.bits) == expected
+        assert len(builds) == 1
+
+    def test_unwritable_kernel_store_downgrades_bit_identically(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("ZAR_NATIVE_DISABLE", raising=False)
+        monkeypatch.setenv("ZAR_NATIVE_CC", str(tmp_path / "cc"))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("ZAR_NATIVE_CACHE_DIR", str(blocker / "kernels"))
+        reset_kernel_runtime()
+        command = dueling_coins(Fraction(2, 3))
+        result = collect_auto(command, 150, seed=7)
+        assert result.profile.name == "native"
+        assert result.fallback_reason.startswith(
+            "native-unavailable: kernel load failed"
+        )
+        assert (result.samples.values, result.samples.bits) == _stream(
+            command, 150, 7, "python"
+        )
+
 
 # -- 5. seams: profile, telemetry, status line ---------------------------
 
@@ -444,6 +496,25 @@ class TestSeams:
         [record] = read_records()
         assert record["fallback_reason"].startswith("native-unavailable:")
         assert record["kernel_cache"] is None
+
+    def test_cli_sample_leaves_no_kernel_dirs(self, tmp_path):
+        # Without a store, kernels live in per-process temp dirs that
+        # the process removes at exit.
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("ZAR_COMPILE_CACHE_DIR", "ZAR_NATIVE_CACHE_DIR")}
+        root = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(root / "src")
+        env["TMPDIR"] = str(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sample",
+             str(root / "examples" / "programs" / "die.gcl"),
+             "-n", "100", "--seed", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "profile:   native" in proc.stdout
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.startswith("zar-kernel")]
 
     def test_status_line_shapes(self):
         closed = _compile(n_sided_die(6)).table

@@ -309,8 +309,8 @@ class TestFallbackObservability:
         # A kwarg-level backend override must show up in the reported
         # profile and the telemetry record -- the run should never be
         # attributed to the base profile's backend.
-        rule = static_profile(features_of(compile_program(n_sided_die(6))))
-        override = "python" if rule.backend != "python" else "native"
+        override = "python" if static_profile().backend != "python" \
+            else "native"
         configure_telemetry(str(tmp_path))
         try:
             result = collect_auto(
