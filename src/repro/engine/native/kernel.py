@@ -107,19 +107,11 @@ def reset_kernel_runtime() -> None:
 
 
 def _private_dir(prefix: str) -> str:
-    """A fresh temp dir, removed when this process exits.
-
-    Unlinking a mapped ``.so`` is safe on POSIX.  The pid check keeps a
-    forked child that exits normally from removing its parent's dir.
-    """
+    """A fresh temp dir, removed when this process exits (unlinking a
+    mapped ``.so`` is safe on POSIX)."""
     path = tempfile.mkdtemp(prefix=prefix)
-    atexit.register(_remove_private_dir, path, os.getpid())
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
     return path
-
-
-def _remove_private_dir(path: str, owner: int) -> None:
-    if os.getpid() == owner:
-        shutil.rmtree(path, ignore_errors=True)
 
 
 # -- environment probes --------------------------------------------------
