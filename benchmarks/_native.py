@@ -16,7 +16,16 @@ while larger tables and rejection-heavy programs sit far above the bar;
 the geometric mean weighs those regimes evenly.  Per-row numbers are
 still recorded so a regression in any regime is visible in
 ``BENCH_engine.json``.
+
+Each row also records the warm **L2** time: the same draw through
+``collect_auto`` with the ``native`` profile, which adds the compile
+cache lookup, kernel resolution, payload mapping and ``SampleSet``
+assembly on top of the walk.  ``glue_ratio = l2_seconds /
+native_seconds`` is what those layers cost relative to the kernel;
+``tools/check_native_speedup.py`` gates it on Table 3's n=10000 row.
 """
+
+from operator import itemgetter
 
 from benchmarks._common import bench_samples, timed_run
 
@@ -36,14 +45,17 @@ def _median_seconds(fn, reps=TIMING_REPS):
 def measure_native_rows(cases, seed=17):
     """Time native vs numpy per case; returns ``(rows, geomean)``.
 
-    ``cases`` is ``[(param_label, command, weight)]``.  Each case is
-    compiled with the default batch profile knobs, resolved to a
-    kernel (a case the resolver refuses fails the bench loudly -- the
+    ``cases`` is ``[(param_label, command, weight, variable)]``.  Each
+    case is compiled with the default batch profile knobs, resolved to
+    a kernel (a case the resolver refuses fails the bench loudly -- the
     speedup suite only runs on closed tables), spot-checked bit-for-bit
     against the pooled Python driver, then timed median-of-reps on both
-    sides at the bench's sample count.
+    sides at the bench's sample count.  The warm L2 time reads
+    ``variable`` through one ``extract`` per case, as a caller that
+    keeps its extractor would.
     """
     from repro.compiler.pipeline import compile_program
+    from repro.engine.api import collect_auto
     from repro.engine.driver import collect_numpy, collect_python
     from repro.engine.native import collect_kernel, kernel_for
     from repro.engine.pool import BitPool
@@ -52,7 +64,7 @@ def measure_native_rows(cases, seed=17):
     base = PROFILES["batch-auto"]
     rows = []
     product = 1.0
-    for param, command, weight in cases:
+    for param, command, weight, variable in cases:
         count = bench_samples(weight)
         program = compile_program(
             command, None, passes=base.passes, coalesce=base.coalesce,
@@ -79,6 +91,17 @@ def measure_native_rows(cases, seed=17):
                 for arr in collect_numpy(program.table, count, seed=seed)
             ]
         )
+        extract = itemgetter(variable)
+
+        def run_l2():
+            return collect_auto(command, count, seed=seed, extract=extract,
+                                profile=PROFILES["native"])
+
+        warm = run_l2()
+        assert warm.fallback_reason is None, (
+            "%s: L2 fell back: %s" % (param, warm.fallback_reason)
+        )
+        l2_seconds = _median_seconds(run_l2)
         speedup = numpy_seconds / native_seconds
         product *= speedup
         rows.append(
@@ -92,6 +115,9 @@ def measure_native_rows(cases, seed=17):
                 "native_samples_per_sec": round(count / native_seconds, 1),
                 "numpy_samples_per_sec": round(count / numpy_seconds, 1),
                 "speedup": round(speedup, 2),
+                "l2_seconds": round(l2_seconds, 6),
+                "l2_samples_per_sec": round(count / l2_seconds, 1),
+                "glue_ratio": round(l2_seconds / native_seconds, 2),
             }
         )
     geomean = product ** (1.0 / len(rows)) if rows else 0.0

@@ -86,7 +86,7 @@ def test_table1_native_speedup(benchmark):
     if not HAVE_NUMPY:
         pytest.skip("numpy driver absent: no baseline to measure against")
 
-    cases = [("p=%s" % p, dueling_coins(p), weight)
+    cases = [("p=%s" % p, dueling_coins(p), weight, "a")
              for p, weight, _ in CASES]
     rows, geomean = benchmark.pedantic(
         lambda: measure_native_rows(cases), rounds=1, iterations=1

@@ -141,7 +141,7 @@ def test_table3_native_speedup(benchmark):
     if not HAVE_NUMPY:
         pytest.skip("numpy driver absent: no baseline to measure against")
 
-    cases = [("n=%d" % n, n_sided_die(n), weight)
+    cases = [("n=%d" % n, n_sided_die(n), weight, "x")
              for n, weight, _ in CASES]
     rows, geomean = benchmark.pedantic(
         lambda: measure_native_rows(cases), rounds=1, iterations=1

@@ -53,6 +53,9 @@ from repro.lang.syntax import Command
 #: budget just gives compaction a representative table to shrink.
 EAGER_EXPAND_DEFAULT = 1024
 
+#: Entries the per-pipeline digest memo holds before it starts over.
+_DIGEST_MEMO_CAPACITY = 4096
+
 
 def dag_size(tree: CFTree, unfold_fix: bool = True) -> int:
     """Distinct nodes reachable from ``tree``, shared subtrees counted once.
@@ -213,6 +216,9 @@ class Pipeline:
             "compact", compact,
             "command_passes", self.command_pass_names,
         )
+        #: (id(command), id(sigma)) -> (command, sigma, digest,
+        #: undigestable reason); see :meth:`_digest`.
+        self._digests: Dict[Tuple[int, int], tuple] = {}
 
     @property
     def cache(self) -> CompilationCache:
@@ -233,21 +239,15 @@ class Pipeline:
         delta under ``stats["lower"]["rows_raw"]`` (used by ``zar
         compile`` and the compiler benchmark; costs a second lowering).
         """
-        sigma = sigma if sigma is not None else State()
+        # One shared empty state: a fresh State() per call would pin a
+        # new entry in the state interner's id table every time.
+        sigma = sigma if sigma is not None else State.empty()
 
         # normalize ------------------------------------------------------
         t0 = time.perf_counter()
         command = normalize_command(command)
         sigma = normalize_state(sigma)
-        digest = None
-        undigestable = None
-        try:
-            digest = program_digest(
-                command, sigma, self.coalesce, self.pass_names,
-                self.max_nodes, self._digest_options,
-            )
-        except Undigestable as err:
-            undigestable = str(err)
+        digest, undigestable = self._digest(command, sigma)
         normalize_seconds = time.perf_counter() - t0
 
         cache = self.cache if self.use_cache else None
@@ -395,6 +395,32 @@ class Pipeline:
         return program
 
     # -- helpers ---------------------------------------------------------
+
+    def _digest(self, command: Command,
+                sigma: State) -> Tuple[Optional[str], Optional[str]]:
+        """``(digest, undigestable reason)`` of canonical ``(command,
+        sigma)``, hashed once per pair.
+
+        The memo is keyed on the ids and each entry holds both objects,
+        so an id cannot be recycled while its entry lives (the
+        interner's ``_by_id`` idiom).
+        """
+        key = (id(command), id(sigma))
+        entry = self._digests.get(key)
+        if entry is None:
+            digest = undigestable = None
+            try:
+                digest = program_digest(
+                    command, sigma, self.coalesce, self.pass_names,
+                    self.max_nodes, self._digest_options,
+                )
+            except Undigestable as err:
+                undigestable = str(err)
+            if len(self._digests) >= _DIGEST_MEMO_CAPACITY:
+                self._digests.clear()
+            entry = (command, sigma, digest, undigestable)
+            self._digests[key] = entry
+        return entry[2], entry[3]
 
     def _rebuild_tree(self, command: Command, sigma: State) -> CFTree:
         """The optimized tree for ``(command, sigma)``, without stats

@@ -441,6 +441,10 @@ class BatchSampler:
 
         ``extract`` is applied once per *distinct* terminal payload, not
         once per sample -- a large win when payloads are program states.
+        The mapped payloads are reused while the table is unchanged and
+        the same ``extract`` object is passed again
+        (:meth:`NodeTable.map_payloads`), so ``extract`` must be a pure
+        function of the payload.
 
         ``batch_size`` splits the collection into chunks of at most that
         many samples per driver call (bounding peak lane memory on the

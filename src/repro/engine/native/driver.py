@@ -16,9 +16,9 @@ call: it gates on availability, attempts a *bounded* closure of open
 tables (expansion slices stop as soon as the pending-stub count fails
 to shrink -- a geometric loop's frontier never shrinks, a shrinking
 range die's always does), encodes, and resolves through the kernel
-cache.  Every refusal returns a human-readable reason; the caller
-prefixes it with ``native-unavailable`` in
-``CollectResult.fallback_reason``.
+cache, once per table version.  Every refusal returns a
+human-readable reason; the caller prefixes it with
+``native-unavailable`` in ``CollectResult.fallback_reason``.
 """
 
 from array import array
@@ -29,7 +29,6 @@ from repro.engine.native.codegen import (
     FRESH_STATE,
     KernelUnsupported,
     encode_table,
-    encoded_digest,
 )
 from repro.engine.pool import BitPool
 
@@ -107,35 +106,46 @@ def _try_close(table) -> Optional[str]:
     )
 
 
-def _encoded_for(table):
-    """Encode ``table``, memoizing on the table version."""
-    memo = getattr(table, "_zar_native_encoded", None)
-    if memo is not None and memo[0] == table.version:
-        return memo[1]
-    encoded = encode_table(table)
-    table._zar_native_encoded = (table.version, encoded)
-    return encoded
-
-
-def kernel_for(
-    table, cache_dir: Optional[str] = None
-) -> Tuple[Optional[object], Optional[str], Dict[str, object]]:
+def kernel_for(table) -> Tuple[Optional[object], Optional[str],
+                               Dict[str, object]]:
     """Resolve ``table`` to ``(kernel, reason, info)``.
 
     ``kernel`` is ``None`` iff the table cannot run natively, with the
     reason in ``reason``.  ``info`` always carries whatever is known
     (digest/tier/compile_ms when a kernel was resolved).
+
+    The outcome -- bound kernel or refusal -- is remembered on the table
+    per ``(table.version, kernel runtime generation)``, so a repeat call
+    on an unchanged table skips the encoding, its digest and the payload
+    map, and reports tier ``memory`` as a memory-cache hit does.  The
+    environment gates run before that lookup, on every call: disabling
+    the backend or losing the compiler refuses a table already bound.
     """
     info: Dict[str, object] = {"tier": None, "compile_ms": None}
     if _kernel.native_disabled():
         return None, "disabled via ZAR_NATIVE_DISABLE", info
     if _kernel.find_compiler() is None:
         return None, "no C compiler on PATH (set ZAR_NATIVE_CC)", info
+    memo = getattr(table, "_zar_native_bound", None)
+    if memo is not None and memo[0] == (table.version, _kernel._GENERATION):
+        return memo[1], memo[2], dict(memo[3])
+    kernel, reason, info = _resolve(table, info)
+    # Keyed after resolving: the closure attempt may have expanded it.
+    table._zar_native_bound = (
+        (table.version, _kernel._GENERATION), kernel, reason,
+        info if kernel is None else dict(info, tier="memory",
+                                         compile_ms=None),
+    )
+    return kernel, reason, info
+
+
+def _resolve(table, info):
+    """Close, encode, size-check and build: ``kernel_for`` uncached."""
     reason = _try_close(table)
     if reason is not None:
         return None, reason, info
     try:
-        encoded = _encoded_for(table)
+        encoded = encode_table(table)
     except KernelUnsupported as err:
         return None, str(err), info
     if len(encoded.a) > _MAX_ROWS:
@@ -144,7 +154,7 @@ def kernel_for(
             % (len(encoded.a), _MAX_ROWS)
         ), info
     try:
-        kernel, info = _kernel.build_kernel(encoded, cache_dir=cache_dir)
+        kernel, info = _kernel.build_kernel(encoded)
     except _kernel.KernelCompileError as err:
         return None, "kernel compile failed: %s" % err, info
     except (_kernel.KernelCacheError, OSError) as err:

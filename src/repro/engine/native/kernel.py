@@ -85,6 +85,11 @@ _LOAD_DIR: Optional[str] = None
 _FAILED: Dict[str, Tuple[type, str]] = {}
 #: How many times this process ran the C compiler (tests assert on it).
 _INVOCATIONS = 0
+#: ``((ZAR_NATIVE_CC, PATH), compiler path or None)`` of the last probe.
+_COMPILER: Optional[Tuple[tuple, Optional[str]]] = None
+#: Bumped by every reset: a kernel a table memoized under an older
+#: generation is not served (see ``driver.kernel_for``).
+_GENERATION = 0
 
 
 def compiler_invocations() -> int:
@@ -98,12 +103,14 @@ def reset_kernel_runtime() -> None:
     store.  The invocation counter survives (it counts per-process
     compiler work, which is exactly what the warm-store tests measure).
     """
-    global _FINGERPRINT, _TMP_DIR, _LOAD_DIR
+    global _FINGERPRINT, _TMP_DIR, _LOAD_DIR, _COMPILER, _GENERATION
     _MEMORY.clear()
     _FAILED.clear()
     _FINGERPRINT = None
     _TMP_DIR = None
     _LOAD_DIR = None
+    _COMPILER = None
+    _GENERATION += 1
 
 
 def _private_dir(prefix: str) -> str:
@@ -121,8 +128,20 @@ def native_disabled() -> bool:
 
 
 def find_compiler() -> Optional[str]:
-    """The C compiler to invoke (``ZAR_NATIVE_CC`` wins), or ``None``."""
+    """The C compiler to invoke (``ZAR_NATIVE_CC`` wins), or ``None``.
+
+    The ``PATH`` search runs once per ``(ZAR_NATIVE_CC, PATH)`` pair,
+    not on every call.
+    """
+    global _COMPILER
     explicit = os.environ.get("ZAR_NATIVE_CC")
+    key = (explicit, os.environ.get("PATH"))
+    if _COMPILER is None or _COMPILER[0] != key:
+        _COMPILER = (key, _probe_compiler(explicit))
+    return _COMPILER[1]
+
+
+def _probe_compiler(explicit: Optional[str]) -> Optional[str]:
     if explicit:
         return explicit if os.path.sep in explicit \
             else shutil.which(explicit)

@@ -235,6 +235,8 @@ class NodeTable:
         self._scan_unkeyed: List[Fix] = []
         self._orphan_scanned: set = set()
         self.needs_rebind = False
+        # (version, extract, mapped payloads) of the last map_payloads.
+        self._mapped: Optional[Tuple[int, object, List[object]]] = None
         self.expansions = 0
         self.dedup_hits = 0
         self.compacted_rows = 0
@@ -866,10 +868,26 @@ class NodeTable:
         }
 
     def map_payloads(self, extract: Optional[Callable[[object], object]]):
-        """Apply ``extract`` once per distinct payload (not per sample)."""
+        """Apply ``extract`` once per distinct payload (not per sample).
+
+        The mapped list is remembered per ``(version, extract)``, with
+        ``extract`` compared by identity: a repeat call with the same
+        ``extract`` object on an unchanged table returns the same list
+        (callers must not mutate it).  So ``extract`` runs once per
+        payload per table version and ``extract`` object, and must be a
+        pure function of the payload.
+        """
+        memo = self._mapped
+        if memo is not None and memo[0] == self.version \
+                and memo[1] is extract:
+            return memo[2]
         if extract is None:
-            return list(self.payloads)
-        return [extract(value) for value in self.payloads]
+            mapped = list(self.payloads)
+        else:
+            mapped = [extract(value) for value in self.payloads]
+        # The memo holds ``extract`` itself, so its identity is stable.
+        self._mapped = (self.version, extract, mapped)
+        return mapped
 
 
 def lower_cftree(

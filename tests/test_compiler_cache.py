@@ -109,13 +109,39 @@ class TestCompilationCache:
         monkeypatch.setenv("ZAR_COMPILE_CACHE_DIR", str(tmp_path))
         assert CompilationCache().disk_dir == str(tmp_path)
 
-    def test_memory_reuse_within_process(self, tmp_path):
+    def test_memory_reuse_within_process(self, monkeypatch):
+        # Structurally equal commands share one entry, and the digest
+        # is hashed once per canonical (command, state) pair.
+        digests = []
+
+        def counting_digest(*args):
+            digests.append(args)
+            return program_digest(*args)
+
+        monkeypatch.setattr(
+            "repro.compiler.pipeline.program_digest", counting_digest
+        )
         cache = CompilationCache(capacity=8)
         pipeline = Pipeline(cache=cache)
-        first = pipeline.compile(n_sided_die(6))
+        command = n_sided_die(6)
+        first = pipeline.compile(command)
         second = pipeline.compile(n_sided_die(6))
         assert second is first
-        assert cache.stats()["memory_hits"] == 1
+        for _ in range(3):
+            assert pipeline.compile(command) is first
+        assert cache.stats()["memory_hits"] == 4
+        assert cache.stats()["stores"] == 1
+        assert len(digests) == 1
+
+    def test_default_state_is_not_pinned_per_call(self):
+        from repro.compiler.normalize import _STATES
+
+        command = n_sided_die(6)
+        compile_program(command)
+        before = len(_STATES._by_id)
+        for _ in range(1000):
+            compile_program(command)
+        assert len(_STATES._by_id) == before
 
     def test_table_shaping_options_are_part_of_the_key(self):
         # A pipeline with dedupe/compaction disabled must not collide

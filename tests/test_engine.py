@@ -18,6 +18,7 @@ from repro.engine import (
     TableOverflow,
     lower_cftree,
 )
+from repro.compiler.pipeline import Pipeline, compile_program
 from repro.engine.table import OP_BIT, OP_JMP, OP_LEAF
 from repro.lang.expr import Var
 from repro.lang.state import State
@@ -216,6 +217,52 @@ class TestBatchDrivers:
         assert_event_frequency(
             samples.values, lambda h: h == 2, pmf[2]
         )
+
+
+class TestPayloadMapping:
+    """``extract`` runs once per payload per table version and
+    ``extract`` object (``NodeTable.map_payloads`` remembers the list)."""
+
+    def test_repeat_collects_reuse_the_mapping(self):
+        sampler = BatchSampler(
+            compile_program(n_sided_die(6), use_cache=False).table
+        )
+        calls = []
+
+        def extract(state):
+            calls.append(state)
+            return state["x"]
+
+        sampler.collect(300, seed=1, extract=extract, backend="python")
+        second = sampler.collect(300, seed=2, extract=extract,
+                                 backend="python")
+        payloads = len(sampler.table.payloads)
+        assert len(calls) == payloads
+
+        def other(state):
+            calls.append(state)
+            return state["x"]
+
+        again = sampler.collect(300, seed=2, extract=other, backend="python")
+        assert len(calls) == 2 * payloads
+        assert again.values == second.values
+
+    def test_open_table_maps_payloads_added_by_expansion(self):
+        # No eager expansion, so sampling is what adds loop states (and
+        # their terminal payloads) to the table.
+        pipeline = Pipeline(use_cache=False, eager_expand=0)
+        command = geometric_primes(Fraction(1, 2))
+        extract = lambda s: s["h"]  # noqa: E731
+        warm = BatchSampler(pipeline.compile(command).table)
+        warm.collect(3, seed=4, extract=extract, backend="python")
+        mapped = len(warm.table.payloads)
+        result = warm.collect(2000, seed=5, extract=extract,
+                              backend="python")
+        assert len(warm.table.payloads) > mapped
+        fresh = BatchSampler(pipeline.compile(command).table)
+        assert result.values == fresh.collect(
+            2000, seed=5, extract=extract, backend="python"
+        ).values
 
 
 class TestBitPool:

@@ -50,6 +50,7 @@ from repro.engine.native import (
     compiler_invocations,
     encode_table,
     encoded_digest,
+    find_compiler,
     kernel_for,
     kernel_status,
     native_available,
@@ -247,6 +248,10 @@ class TestEncoding:
 
 # -- 3. cache tiers: cold / warm / fresh-process / corrupted -------------
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a memoized kernel was resolved again")
+
+
 @requires_native
 class TestKernelCache:
     def test_cold_warm_disk_streams_identical(self, tmp_path, monkeypatch):
@@ -263,11 +268,27 @@ class TestKernelCache:
         assert os.path.exists(info["c_path"])  # kept for the CI artifact
         cold = collect_kernel(kernel, 500, seed=9)
 
-        # Same process: memory tier, no compiler work.
-        kernel2, _, info2 = kernel_for(table)
+        # Same process: memory tier, no compiler work, and no encoding
+        # or hashing either -- the table remembers its bound kernel.
+        with monkeypatch.context() as patch:
+            for name in ("repro.engine.native.driver.encode_table",
+                         "repro.engine.native.kernel.encoded_digest"):
+                patch.setattr(name, _must_not_run)
+            kernel2, _, info2 = kernel_for(table)
+        assert kernel2 is kernel
         assert info2["tier"] == "memory"
+        assert info2["compile_ms"] is None
         assert compiler_invocations() == before + 1
         assert collect_kernel(kernel2, 500, seed=9) == cold
+
+        # A runtime reset retires that memo: the same table object
+        # resolves again, from the warm store, with no compiler work.
+        reset_kernel_runtime()
+        kernel_again, _, info_again = kernel_for(table)
+        assert kernel_again is not kernel
+        assert info_again["tier"] == "disk"
+        assert compiler_invocations() == before + 1
+        assert collect_kernel(kernel_again, 500, seed=9) == cold
 
         # "Fresh process" (runtime reset) against the warm store: disk
         # tier, still no compiler work, identical stream.
@@ -362,6 +383,48 @@ class TestDegraded:
             "batch-numpy" if HAVE_NUMPY else "batch-python"
         )
         assert result.fallback_reason is None
+
+    @pytest.mark.parametrize("gate", ["disabled", "no-compiler"])
+    def test_gates_refuse_an_already_bound_table(self, gate, monkeypatch):
+        # kernel_for checks its table memo only after the environment
+        # gates, so turning the backend off refuses a bound table too.
+        monkeypatch.delenv("ZAR_NATIVE_DISABLE", raising=False)
+        command = n_sided_die(6)
+        expected = _stream(command, 120, 17, "python")
+        bound = collect_auto(command, 120, seed=17, backend="native")
+        if bound.fallback_reason is not None:
+            pytest.skip("cannot bind a kernel here: %s"
+                        % bound.fallback_reason)
+        assert (bound.samples.values, bound.samples.bits) == expected
+        if gate == "disabled":
+            monkeypatch.setenv("ZAR_NATIVE_DISABLE", "1")
+            reason = "native-unavailable: disabled via ZAR_NATIVE_DISABLE"
+        else:
+            monkeypatch.setattr(
+                "repro.engine.native.kernel.find_compiler", lambda: None
+            )
+            reason = "native-unavailable: no C compiler on PATH"
+        result = collect_auto(command, 120, seed=17, backend="native")
+        assert result.fallback_reason.startswith(reason)
+        assert (result.samples.values, result.samples.bits) == expected
+
+    def test_compiler_probe_follows_the_environment(
+        self, tmp_path, monkeypatch
+    ):
+        # The PATH search is memoized on (ZAR_NATIVE_CC, PATH); a reset
+        # of the kernel runtime drops it.
+        for name in ("one", "two"):
+            monkeypatch.setenv("ZAR_NATIVE_CC", str(tmp_path / name / "cc"))
+            assert find_compiler() == str(tmp_path / name / "cc")
+        monkeypatch.delenv("ZAR_NATIVE_CC")
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert find_compiler() is None
+        compiler = tmp_path / "cc"
+        compiler.write_text("#!/bin/sh\n")
+        compiler.chmod(0o755)
+        assert find_compiler() is None
+        reset_kernel_runtime()
+        assert find_compiler() == str(compiler)
 
     def test_missing_compiler_downgrades_bit_identically(self, monkeypatch):
         # Clear the disable knob so this exercises the *compiler* path

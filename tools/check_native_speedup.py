@@ -1,4 +1,5 @@
-"""CI gate: the native backend's >= 10x driver-level speedup bar.
+"""CI gate: the native backend's >= 10x driver-level speedup bar, and
+its L2 glue bar.
 
 ``benchmarks/bench_table3_die.py`` and
 ``benchmarks/bench_table1_dueling_coins.py`` merge per-row native-vs-
@@ -11,7 +12,14 @@ rows -- the gate never trusts a pre-aggregated number -- and requires
 every expected bench section to be present, so a silently-skipped bench
 (no compiler on the runner) fails the job instead of passing vacuously.
 
-Exit status: 0 when every bench clears ``--min``, 1 otherwise.
+Each row's ``glue_ratio`` (warm ``collect_auto`` time over the kernel
+walk's, see ``benchmarks/_native.py``) is printed, and Table 3's
+n=10000 row must keep it at or below ``MAX_GLUE_RATIO``: a regression
+in the layers above the kernel fails the build as a slower kernel does.
+A row without the field fails too.
+
+Exit status: 0 when every bench clears ``--min`` and the glue row its
+bar, 1 otherwise.
 """
 
 import argparse
@@ -26,6 +34,10 @@ DEFAULT_RESULT = os.path.join(
 )
 
 EXPECTED_SECTIONS = ("native_table3", "native_table1")
+
+#: The gated glue row and its bar (the ROADMAP's L2-within-3x-of-L0).
+GLUE_ROW = ("native_table3", "n=10000")
+MAX_GLUE_RATIO = 3.0
 
 
 def main(argv=None) -> int:
@@ -64,9 +76,11 @@ def main(argv=None) -> int:
                 failed = True
                 break
             print("  %-14s %-12s native %10.1f/s  numpy %10.1f/s  %6.1fx"
+                  "  glue %s"
                   % (section, row.get("param"),
                      row.get("native_samples_per_sec", 0.0),
-                     row.get("numpy_samples_per_sec", 0.0), speedup))
+                     row.get("numpy_samples_per_sec", 0.0), speedup,
+                     row.get("glue_ratio")))
             product *= speedup
         else:
             geomean = product ** (1.0 / len(rows))
@@ -75,6 +89,18 @@ def main(argv=None) -> int:
                   % (section, geomean, args.minimum,
                      "PASS" if verdict else "FAIL"))
             failed = failed or not verdict
+    if GLUE_ROW[0] in args.sections:
+        section, param = GLUE_ROW
+        entry = record.get(section)
+        rows = (entry.get("rows") if isinstance(entry, dict) else None) or []
+        glue = next((row.get("glue_ratio") for row in rows
+                     if row.get("param") == param), None)
+        glue_ok = isinstance(glue, (int, float)) \
+            and 0 < glue <= MAX_GLUE_RATIO
+        print("%s %s: glue ratio %s (bar %.1fx): %s"
+              % (section, param, glue, MAX_GLUE_RATIO,
+                 "PASS" if glue_ok else "FAIL"))
+        failed = failed or not glue_ok
     return 1 if failed else 0
 
 
