@@ -12,46 +12,19 @@ case the cache keeps a reference to those objects, so a live entry's id
 can never be recycled by the allocator.  Eviction is FIFO with a
 generous bound.
 
-The default bound is configurable: the ``ZAR_CFTREE_CACHE_SIZE``
-environment variable (read at import time) or :func:`default_capacity`
-set it globally, and each :class:`BoundedCache` can be ``resize``\\ d at
-runtime.  Caches count hits and misses so the pipeline's
-``CompiledProgram.stats`` and the CLI can report memoization
-effectiveness.
+Caches count hits and misses so the pipeline's ``CompiledProgram.stats``
+and the CLI can report memoization effectiveness.
 """
 
-import os
 from collections import OrderedDict
 from typing import Dict, Hashable, Tuple
 
-#: Fallback capacity when neither the env var nor the caller gives one.
-#: Sized so that open-table workloads with a few hundred thousand
-#: reachable loop states (e.g. the fig. 9b race) keep their whole
-#: working set resident; the entries mostly alias objects the node
-#: table already pins, so the marginal footprint is dict overhead.
+#: Capacity when the caller gives none.  Sized so that open-table
+#: workloads with a few hundred thousand reachable loop states (e.g. the
+#: fig. 9b race) keep their whole working set resident; the entries
+#: mostly alias objects the node table already pins, so the marginal
+#: footprint is dict overhead.
 _DEFAULT_CAPACITY = 1_000_000
-
-
-def env_int(name: str, default: int) -> int:
-    """A positive integer from the environment, or ``default``.
-
-    Unset, unparsable, and nonpositive values all fall back -- a broken
-    env var must never break sampling.
-    """
-    raw = os.environ.get(name)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return default
-        if value > 0:
-            return value
-    return default
-
-
-def default_capacity() -> int:
-    """The configured default cache bound (``ZAR_CFTREE_CACHE_SIZE``)."""
-    return env_int("ZAR_CFTREE_CACHE_SIZE", _DEFAULT_CAPACITY)
 
 
 class BoundedCache:
@@ -64,9 +37,7 @@ class BoundedCache:
     so a recurring working set survives capacity pressure.
     """
 
-    def __init__(self, capacity: int = None):
-        if capacity is None:
-            capacity = default_capacity()
+    def __init__(self, capacity: int = _DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._capacity = capacity
@@ -79,14 +50,6 @@ class BoundedCache:
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    def resize(self, capacity: int) -> None:
-        """Change the bound, evicting oldest entries if shrinking."""
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        while len(self._entries) > capacity:
-            self._entries.popitem(last=False)
 
     def get(self, key: Hashable):
         entry = self._entries.get(key)

@@ -74,12 +74,6 @@ def compile_cache_stats():
     return _COMPILE_CACHE.stats()
 
 
-def set_compile_cache_capacity(capacity: int) -> None:
-    """Rebound the compile memo (also settable via the
-    ``ZAR_CFTREE_CACHE_SIZE`` environment variable at import time)."""
-    _COMPILE_CACHE.resize(capacity)
-
-
 def compile_cpgcl(command: Command, sigma: State, coalesce: str = "loopback") -> CFTree:
     """``[[command]] sigma`` -- Definition 3.5.
 

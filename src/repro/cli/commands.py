@@ -175,10 +175,11 @@ def cmd_compile(args, out: TextIO) -> int:
 def _print_pipeline_stats(program, sigma, args, out: TextIO) -> None:
     """Render the staged pipeline's per-stage metrics (ISSUE 5)."""
     from repro.compiler.cache import get_cache
+    from repro.compiler.passes import DEFAULT_PASSES
     from repro.compiler.pipeline import compile_program
     from repro.engine.table import LoweringError
 
-    raw = getattr(args, "passes", None) or "elim_choices,debias,cse"
+    raw = getattr(args, "passes", None) or ",".join(DEFAULT_PASSES)
     passes = tuple(name.strip() for name in raw.split(",") if name.strip())
     try:
         prog = compile_program(
@@ -218,7 +219,7 @@ def _print_pipeline_stats(program, sigma, args, out: TextIO) -> None:
     lower = stats.get("lower") or {}
     reduction = ""
     if "rows_raw" in lower:
-        reduction = "  (raw %d, -%.1f%% via CSE/dedup/compaction)" % (
+        reduction = "  (raw %d, -%.1f%% via dedup/compaction)" % (
             lower["rows_raw"], lower.get("reduction_pct", 0.0),
         )
     print("  lower:         %d table rows%s" % (lower.get("rows", 0),
@@ -334,11 +335,18 @@ def cmd_sample(args, out: TextIO) -> int:
 def cmd_infer(args, out: TextIO) -> int:
     program = load_program(args.file)
     sigma = parse_initial_state(args.init)
+    if args.budget < 0:
+        raise CliError("--budget must be nonnegative")
+    tol = None
+    if args.tol:
+        try:
+            tol = Fraction(args.tol)
+        except (ValueError, ZeroDivisionError):
+            raise CliError("--tol expects a rational, got %r" % (args.tol,))
+        if tol < 0:
+            raise CliError("--tol must be nonnegative")
     posterior = infer_posterior(
-        program,
-        sigma,
-        max_expansions=args.budget,
-        mass_tol=Fraction(args.tol) if args.tol else None,
+        program, sigma, max_expansions=args.budget, mass_tol=tol
     )
     print("expansions: %d   slack: %s"
           % (posterior.account.expansions, _fmt_frac(posterior.slack)),
@@ -368,6 +376,8 @@ def cmd_bounds(args, out: TextIO) -> int:
     sigma = parse_initial_state(args.init)
     if args.width_bits <= 0:
         raise CliError("--width-bits must be positive")
+    if args.max_sweeps <= 0:
+        raise CliError("--max-sweeps must be positive")
     observed = None
     if args.observed:
         observed = tuple(

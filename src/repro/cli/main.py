@@ -21,6 +21,7 @@ import argparse
 import sys
 from typing import List, Optional, TextIO
 
+from repro.compiler.passes import DEFAULT_PASSES
 from repro.engine.api import BACKENDS, ENGINES
 from repro.engine.profile import PROFILES
 
@@ -112,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument(
         "--passes", default=None, metavar="P1,P2,...",
-        help="pipeline pass list for the stage report (default "
-        "elim_choices,debias,cse; see repro.compiler.passes)",
+        help="pipeline pass list for the stage report (default %s; see "
+        "repro.compiler.passes)" % ",".join(DEFAULT_PASSES),
     )
     p_compile.add_argument(
         "--no-pipeline", action="store_true",

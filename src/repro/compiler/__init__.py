@@ -5,7 +5,7 @@ Public surface::
     from repro.compiler import Pipeline, compile_program
 
     prog = compile_program(n_sided_die(6))
-    prog.stats["lower"]["rows"]      # node-table rows after CSE/compaction
+    prog.stats["lower"]["rows"]      # node-table rows after dedup/compaction
     samples = prog.sampler().collect(100_000, seed=7)
 
 Submodules:
@@ -13,9 +13,8 @@ Submodules:
 - :mod:`repro.compiler.digest`    -- content-addressed fingerprints;
 - :mod:`repro.compiler.normalize` -- structural hash-consing of commands
   and states (replaces the seed's ``id(...)``-keyed memo keys);
-- :mod:`repro.compiler.cse`       -- the hash-consing/CSE pass turning
-  CF trees into shared DAGs;
-- :mod:`repro.compiler.passes`    -- the pass registry;
+- :mod:`repro.compiler.passes`    -- the pass registry (equal subtrees
+  are shared by the lowering's row hash-consing, not by a pass);
 - :mod:`repro.compiler.cache`     -- in-memory LRU + on-disk artifact
   cache keyed by program/state/pass-list digest;
 - :mod:`repro.compiler.pipeline`  -- ``Pipeline``/``CompiledProgram``.
@@ -35,8 +34,6 @@ _EXPORTS = {
     "Pass": "repro.compiler.passes",
     "PASS_REGISTRY": "repro.compiler.passes",
     "register_pass": "repro.compiler.passes",
-    "cse": "repro.compiler.cse",
-    "TreeInterner": "repro.compiler.cse",
     "CompilationCache": "repro.compiler.cache",
     "get_cache": "repro.compiler.cache",
     "configure_cache": "repro.compiler.cache",

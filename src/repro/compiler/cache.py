@@ -18,9 +18,9 @@ initial state, and every compilation option that affects the output
   rebound on load, so even JIT expansion work survives across
   processes.
 
-Configuration: ``configure_cache(capacity=..., disk_dir=...)`` or the
-environment variables ``ZAR_COMPILE_CACHE_SIZE`` (entry bound, default
-128) and ``ZAR_COMPILE_CACHE_DIR`` (enables the disk layer).  Programs
+Configuration: ``configure_cache(capacity=..., disk_dir=...)`` (entry
+bound, default 128) or the environment variable
+``ZAR_COMPILE_CACHE_DIR`` (enables the disk layer).  Programs
 containing :class:`~repro.lang.expr.Opaque` expressions are
 :class:`~repro.compiler.digest.Undigestable` and bypass both layers.
 """
@@ -31,7 +31,6 @@ import tempfile
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from repro.cftree.cache import env_int
 from repro.compiler.digest import DIGEST_VERSION
 
 #: Bump to invalidate on-disk artifacts when the table encoding changes.
@@ -43,10 +42,8 @@ _DISK_FORMAT = 3
 class CompilationCache:
     """Digest-keyed LRU of compiled programs with an optional disk tier."""
 
-    def __init__(self, capacity: Optional[int] = None,
+    def __init__(self, capacity: int = 128,
                  disk_dir: Optional[str] = None):
-        if capacity is None:
-            capacity = env_int("ZAR_COMPILE_CACHE_SIZE", 128)
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if disk_dir is None:
@@ -180,7 +177,7 @@ def get_cache() -> CompilationCache:
     return _GLOBAL
 
 
-def configure_cache(capacity: Optional[int] = None,
+def configure_cache(capacity: int = 128,
                     disk_dir: Optional[str] = None) -> CompilationCache:
     """Replace the process-wide cache (returns the new instance)."""
     global _GLOBAL

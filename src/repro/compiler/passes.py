@@ -1,12 +1,10 @@
 """The optimize stage: a registry of semantics-preserving tree passes.
 
 A :class:`Pass` rewrites a CF tree (possibly lazily through ``Fix``
-generators) without changing its ``tcwp`` semantics or -- for passes in
-the default list -- the bit-for-bit sample stream of the lowered
-sampler.  The registry wraps the seed's ad-hoc function calls
-(``elim_choices``, ``debias``) as named passes, adds standalone leaf
-coalescing, and introduces the hash-consing/CSE pass
-(:mod:`repro.compiler.cse`).
+generators) without changing its ``tcwp`` semantics.  The builtins are
+the two passes of Definition 3.13, ``elim_choices`` and ``debias``;
+sharing equal subtrees needs no pass of its own, because the lowering
+hash-conses every node-table row (:class:`~repro.engine.table.NodeTable`).
 
 Registering a custom pass::
 
@@ -16,37 +14,28 @@ Registering a custom pass::
     def strip_skips(tree, ctx):
         ...  # return a rewritten CFTree
 
-    Pipeline(passes=("elim_choices", "strip_skips", "debias", "cse"))
+    Pipeline(passes=("elim_choices", "strip_skips", "debias"))
 
-Pass-order contract (checked by the test suite):
-
-- ``elim_choices`` runs before ``debias`` (it deletes trivial choices
-  the debiaser would otherwise expand into coin-flip schemes);
-- ``debias`` must precede lowering (the engine rejects biased choices);
-- ``cse`` runs last so it sees the final shapes; it is idempotent and
-  commutes with the others up to sharing.
+Pass order: ``elim_choices`` runs before ``debias`` (it deletes trivial
+choices the debiaser would otherwise expand into coin-flip schemes),
+and ``debias`` must precede lowering (the engine rejects biased
+choices).
 """
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.cftree.debias import debias
 from repro.cftree.elim import elim_choices
-from repro.cftree.keys import derive
-from repro.cftree.tree import CFTree, Choice, Fail, Fix, Leaf
-from repro.compiler.cse import TreeInterner, cse
+from repro.cftree.tree import CFTree
 
 
 class PassContext:
     """Per-compilation state threaded through passes."""
 
-    __slots__ = ("coalesce", "interner")
+    __slots__ = ("coalesce",)
 
-    def __init__(self, coalesce: str = "loopback",
-                 interner: Optional[TreeInterner] = None):
+    def __init__(self, coalesce: str = "loopback"):
         self.coalesce = coalesce
-        # One interner per compilation: lazily-expanded loop bodies
-        # share submitted trees with the main lowering.
-        self.interner = interner if interner is not None else TreeInterner()
 
 
 class Pass:
@@ -117,57 +106,8 @@ def _pass_debias(tree: CFTree, ctx: PassContext) -> CFTree:
     return debias(tree, ctx.coalesce)
 
 
-@register_pass("cse")
-def _pass_cse(tree: CFTree, ctx: PassContext) -> CFTree:
-    """Hash-cons the tree into a shared DAG (see repro.compiler.cse)."""
-    return cse(tree, ctx.interner)
-
-
-def _coalesce(tree: CFTree, memo: Dict[int, Tuple[CFTree, CFTree]]) -> CFTree:
-    entry = memo.get(id(tree))
-    if entry is not None and entry[0] is tree:
-        return entry[1]
-    if isinstance(tree, (Leaf, Fail)):
-        result = tree
-    elif isinstance(tree, Choice):
-        left = _coalesce(tree.left, memo)
-        right = _coalesce(tree.right, memo)
-        if left == right:
-            result = left
-        elif left is tree.left and right is tree.right:
-            result = tree
-        else:
-            result = Choice(tree.prob, left, right)
-    elif isinstance(tree, Fix):
-        body, cont = tree.body, tree.cont
-        # Coalescing changes bit consumption, so the wrapper gets a
-        # *distinct* derived key (never the wrapped loop's own key).
-        result = Fix(
-            tree.init,
-            tree.guard,
-            lambda s: _coalesce(body(s), memo),
-            lambda s: _coalesce(cont(s), memo),
-            key=derive("fix.coalesce", tree.key),
-            subkey=derive("sub.coalesce", tree.subkey),
-            footprint=tree.footprint,
-        )
-    else:
-        raise TypeError("not a CF tree: %r" % (tree,))
-    memo[id(tree)] = (tree, result)
-    return result
-
-
-@register_pass("coalesce_leaves")
-def _pass_coalesce(tree: CFTree, ctx: PassContext) -> CFTree:
-    """Merge choices between structurally equal subtrees (Appendix A
-    step 5 in its "full" reading).  Subsumed by ``elim_choices`` but
-    exposed standalone for the coalescing ablation; note it *changes*
-    expected bit consumption (fewer flips), unlike ``cse``."""
-    return _coalesce(tree, {})
-
-
-#: The Definition 3.13 pipeline plus hash-consing.
-DEFAULT_PASSES: Tuple[str, ...] = ("elim_choices", "debias", "cse")
+#: The Definition 3.13 pipeline: the pass list every default compile runs.
+DEFAULT_PASSES: Tuple[str, ...] = ("elim_choices", "debias")
 
 
 # -- command passes (the analyze stage) -----------------------------------

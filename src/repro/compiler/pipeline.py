@@ -61,12 +61,14 @@ def dag_size(tree: CFTree, unfold_fix: bool = True) -> int:
     """Distinct nodes reachable from ``tree``, shared subtrees counted once.
 
     The metric the per-pass stats report: ``tree_size`` counts tree
-    paths, which double-counts shared subtrees and hides exactly what
-    CSE buys.  With ``unfold_fix`` each ``Fix`` is unfolded one step at
-    its entry state (the same evaluation eager lowering performs), so
-    loop bodies contribute; the unfolding terminates because a loop's
-    body tree never contains the loop's own ``Fix`` node again (leaves
-    re-enter it through the lowering memo instead).
+    paths, which double-counts shared subtrees.  Equal but distinct
+    subtrees still count once each here; the lowering's row
+    hash-consing merges those.  With ``unfold_fix`` each ``Fix`` is
+    unfolded one step at its entry state (the same evaluation eager
+    lowering performs), so loop bodies contribute; the unfolding
+    terminates because a loop's body tree never contains the loop's own
+    ``Fix`` node again (leaves re-enter it through the lowering memo
+    instead).
     """
     seen = set()
     stack = [tree]
@@ -235,7 +237,7 @@ class Pipeline:
         """Run all stages on ``(command, sigma)``.
 
         ``measure_raw=True`` additionally lowers the program *without*
-        the CSE/dedupe/compaction machinery and records the row-count
+        row dedupe and compaction and records the row-count
         delta under ``stats["lower"]["rows_raw"]`` (used by ``zar
         compile`` and the compiler benchmark; costs a second lowering).
         """
@@ -469,12 +471,11 @@ class Pipeline:
         }
 
     def _raw_rows(self, tree) -> int:
-        """Rows of the baseline lowering: the pass list *minus* the CSE
-        pass, no row dedupe, no compaction, same expansion budget --
-        what the ``rows_raw``/``reduction_pct`` stats compare against."""
+        """Rows of the baseline lowering: the same passes, no row
+        dedupe, no compaction, same expansion budget -- what the
+        ``rows_raw``/``reduction_pct`` stats compare against."""
         ctx = PassContext(coalesce=self.coalesce)
-        raw_names = tuple(n for n in self.pass_names if n != "cse")
-        for entry in resolve_passes(raw_names):
+        for entry in self.passes:
             tree = entry.run(tree, ctx)
         table = NodeTable.from_cftree(tree, self.max_nodes, dedupe=False)
         table.expand_all(limit=self.eager_expand)
@@ -541,7 +542,7 @@ def compile_program(
 def compile_tree(
     tree: CFTree,
     key_parts: Optional[tuple] = None,
-    passes: Tuple[str, ...] = ("debias", "cse"),
+    passes: Tuple[str, ...] = ("debias",),
     coalesce: str = "loopback",
     max_nodes: int = 2_000_000,
     use_cache: bool = True,

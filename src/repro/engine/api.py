@@ -310,16 +310,13 @@ class BatchSampler:
         max_nodes: int = 2_000_000,
     ) -> "BatchSampler":
         """Lower ``command`` through the staged compiler pipeline
-        (normalize, compile, ``elim_choices``, ``debias``, ``cse``) into
-        a deduplicated node table; artifacts are shared through the
+        (normalize, compile, ``elim_choices``, ``debias``) into a
+        deduplicated node table; artifacts are shared through the
         content-addressed compilation cache (:mod:`repro.compiler`)."""
+        from repro.compiler.passes import DEFAULT_PASSES
         from repro.compiler.pipeline import compile_program
 
-        passes = (
-            ("elim_choices", "debias", "cse")
-            if eliminate
-            else ("debias", "cse")
-        )
+        passes = DEFAULT_PASSES if eliminate else ("debias",)
         program = compile_program(
             command,
             sigma,
@@ -357,7 +354,7 @@ class BatchSampler:
     ) -> "BatchSampler":
         from repro.compiler.pipeline import compile_tree
 
-        passes = ("debias", "cse") if apply_debias else ("cse",)
+        passes = ("debias",) if apply_debias else ()
         program = compile_tree(
             tree, passes=passes, coalesce=coalesce, max_nodes=max_nodes
         )

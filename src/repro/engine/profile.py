@@ -23,6 +23,8 @@ closed table when a C compiler is available, else ``batch-numpy``, else
 
 from typing import Dict, NamedTuple, Optional, Tuple
 
+from repro.compiler.passes import DEFAULT_PASSES
+
 __all__ = [
     "DEFAULT_PASSES",
     "EngineProfile",
@@ -35,10 +37,6 @@ __all__ = [
     "static_profile",
     "validate_profile",
 ]
-
-#: The pass list every default sampling path compiles with.
-DEFAULT_PASSES: Tuple[str, ...] = ("elim_choices", "debias", "cse")
-
 
 class EngineProfile(NamedTuple):
     """Everything that selects a sampling strategy, in one value.

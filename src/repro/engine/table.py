@@ -180,10 +180,11 @@ class NodeTable:
     With ``dedupe`` (the default), allocation hash-conses immutable rows:
     children are emitted before parents, so requesting a ``BIT``/``LEAF``
     row identical to an existing one returns the existing index -- this
-    is bottom-up common-subexpression elimination at the row level, and
-    it composes with the tree-level CSE pass (:mod:`repro.compiler.cse`)
-    to keep duplicated subtrees out of the table entirely.  ``STUB``
-    rows are mutable (they become jumps) and are never deduplicated.
+    is bottom-up common-subexpression elimination at the row level, so
+    structurally equal subtrees lower to one set of rows even when they
+    are distinct tree objects, and :meth:`compact` later merges
+    congruent rows.  ``STUB`` rows are mutable (they become jumps) and
+    are never deduplicated.
     """
 
     def __init__(self, max_nodes: int = 2_000_000, dedupe: bool = True):
@@ -313,9 +314,10 @@ class NodeTable:
         return self._enter(k.fix, k.outer, value)
 
     def _lower(self, tree: CFTree, k) -> int:
-        # Trees are hash-consed by the cse pass, so id(tree) is a
-        # structural key in practice; the continuation side uses content
-        # tokens so equal _LoopK chains share lowerings.
+        # Keyed on identity: an equal but distinct subtree is lowered
+        # again, and row hash-consing in _alloc maps it to the same rows.
+        # The continuation side uses content tokens so equal _LoopK
+        # chains share lowerings.
         memo_key = (id(tree), _k_token(k))
         hit = self._lower_memo.get(memo_key)
         if hit is not None:

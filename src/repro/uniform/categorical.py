@@ -76,14 +76,15 @@ class ZarCategorical:
         if validate:
             self._validate()
         # Already debiased above; pipeline the tree straight to an
-        # engine table (CSE + deduplicated lowering), content-addressed
-        # by the weight vector so equal distributions share artifacts.
+        # engine table (no passes, deduplicated lowering),
+        # content-addressed by the weight vector so equal distributions
+        # share artifacts.
         from repro.compiler.pipeline import compile_tree
 
         self._compiled = compile_tree(
             self._tree,
             key_parts=("categorical", tuple(self.weights), coalesce),
-            passes=("cse",),
+            passes=(),
             coalesce=coalesce,
         )
         self._sampler = BatchSampler(self._compiled.table)

@@ -138,6 +138,19 @@ class TestInfer:
         assert code == 0
         assert "P(x=1)" in text
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--tol", "junk"), ("--tol", "1/0"), ("--tol", "-1/2"),
+         ("--budget", "-1")],
+        ids=["tol=junk", "tol=1/0", "tol=-1/2", "budget=-1"],
+    )
+    def test_rejects_bad_budget_or_tol(self, programs_dir, flag, value):
+        code, text = run_cli(
+            "infer", str(programs_dir / "die.gcl"), "%s=%s" % (flag, value)
+        )
+        assert code == 1
+        assert text.startswith("error: %s" % flag)
+
 
 class TestBounds:
     def test_certified_marginal(self, programs_dir):
@@ -172,12 +185,18 @@ class TestBounds:
         assert code == 0
         assert "PARTIAL" in text
 
-    def test_rejects_bad_width(self, programs_dir):
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--width-bits", "0"), ("--max-sweeps", "0"),
+         ("--max-sweeps", "-3")],
+        ids=["width-bits=0", "max-sweeps=0", "max-sweeps=-3"],
+    )
+    def test_rejects_bad_width(self, programs_dir, flag, value):
         code, text = run_cli(
-            "bounds", str(programs_dir / "die.gcl"), "--width-bits", "0"
+            "bounds", str(programs_dir / "die.gcl"), "%s=%s" % (flag, value)
         )
         assert code == 1
-        assert "width-bits" in text
+        assert text.startswith("error: %s" % flag)
 
 
 class TestMcmc:

@@ -2,8 +2,8 @@
 
 Covers digest stability/sensitivity, the in-memory LRU tier, the
 on-disk tier (round trip, corruption tolerance, format gating), and the
-configurable bounds + hit/miss counters of both the artifact cache and
-the cftree memo caches (ISSUE 5 satellites).
+bounds + hit/miss counters of both the artifact cache and the cftree
+memo caches.
 """
 
 import os
@@ -13,8 +13,8 @@ import pytest
 from fractions import Fraction
 
 from repro.bits.source import CountingBits
-from repro.cftree.cache import BoundedCache, default_capacity
-from repro.cftree.compile import compile_cache_stats, set_compile_cache_capacity
+from repro.cftree.cache import BoundedCache
+from repro.cftree.compile import compile_cache_stats
 from repro.compiler.cache import CompilationCache
 from repro.compiler.digest import Undigestable, fingerprint, program_digest
 from repro.compiler.pipeline import Pipeline, compile_program
@@ -98,12 +98,6 @@ class TestCompilationCache:
         assert stats["misses"] == 1
         assert stats["memory_hits"] == 1
         assert stats["stores"] == 1
-
-    def test_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("ZAR_COMPILE_CACHE_SIZE", "7")
-        assert CompilationCache().capacity == 7
-        monkeypatch.setenv("ZAR_COMPILE_CACHE_SIZE", "junk")
-        assert CompilationCache().capacity == 128
 
     def test_env_disk_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("ZAR_COMPILE_CACHE_DIR", str(tmp_path))
@@ -266,26 +260,6 @@ class TestDiskCache:
 
 
 class TestBoundedCacheConfig:
-    def test_env_default_capacity(self, monkeypatch):
-        monkeypatch.setenv("ZAR_CFTREE_CACHE_SIZE", "1234")
-        assert default_capacity() == 1234
-        assert BoundedCache().capacity == 1234
-        from repro.cftree.cache import _DEFAULT_CAPACITY
-
-        monkeypatch.setenv("ZAR_CFTREE_CACHE_SIZE", "-3")
-        assert default_capacity() == _DEFAULT_CAPACITY
-        monkeypatch.delenv("ZAR_CFTREE_CACHE_SIZE")
-        assert default_capacity() == _DEFAULT_CAPACITY
-
-    def test_resize_evicts_oldest(self):
-        cache = BoundedCache(4)
-        for key in "abcd":
-            cache.put(key, (), key.upper())
-        cache.resize(2)
-        assert len(cache) == 2
-        assert cache.get("a") is None
-        assert cache.get("d") == "D"
-
     def test_hit_miss_counters(self):
         cache = BoundedCache(4)
         cache.get("nope")
@@ -297,19 +271,11 @@ class TestBoundedCacheConfig:
         assert stats["entries"] == 1
 
     def test_compile_cache_api(self):
-        # The live compile memo exposes counters and can be rebounded.
+        # The live compile memo exposes its counters.
         stats = compile_cache_stats()
         assert set(stats) == {"hits", "misses", "entries", "capacity"}
-        original = stats["capacity"]
-        try:
-            set_compile_cache_capacity(50_000)
-            assert compile_cache_stats()["capacity"] == 50_000
-        finally:
-            set_compile_cache_capacity(original)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            BoundedCache(4).resize(0)
         with pytest.raises(ValueError):
             CompilationCache(capacity=0)
 
@@ -331,13 +297,13 @@ class TestCliPipelineStats:
         )
         assert "analyze:" in text
         assert "digest:" in text
-        assert "pass cse:" in text
+        assert "pass debias:" in text
         assert "compile memo:" in text
-        # The acceptance bar: the CSE stage shrinks the die's table by
-        # >= 20% (raw 19 rows -> 12).
+        # The acceptance bar: row dedup and compaction shrink the die's
+        # table by >= 20% (raw 19 rows -> 12).
         import re
 
-        match = re.search(r"raw (\d+), -([0-9.]+)%", text)
+        match = re.search(r"raw (\d+), -([0-9.]+)% via dedup/compaction", text)
         assert match, text
         assert float(match.group(2)) >= 20.0
 
@@ -359,7 +325,7 @@ class TestCliPipelineStats:
         source.write_text("m <~ uniform(6);\nx := m + 1;\n")
         out = io.StringIO()
         code = main(
-            ["compile", str(source), "--passes", "debias,cse"], out=out
+            ["compile", str(source), "--passes", "debias"], out=out
         )
         assert code == 0
         assert "pass debias:" in out.getvalue()

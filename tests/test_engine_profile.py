@@ -160,7 +160,7 @@ class TestSerializationAndTelemetry:
     def test_custom_profile_roundtrip_preserves_knobs(self):
         profile = EngineProfile(
             name="weird", backend="python", batch_size=64,
-            passes=("debias", "cse"), narrow=True, fuel=99, max_nodes=123,
+            passes=("debias",), narrow=True, fuel=99, max_nodes=123,
         )
         clone = profile_from_dict(profile.as_dict())
         assert clone == profile
