@@ -24,127 +24,75 @@ paper-to-module map.
 
 __version__ = "1.0.0"
 
-from repro.lang import (
-    Assign,
-    Choice,
-    Command,
-    Expr,
-    Ite,
-    Lit,
-    Observe,
-    Seq,
-    Skip,
-    State,
-    Uniform,
-    Var,
-    While,
-    bernoulli_exponential,
-    bernoulli_exponential_0_1,
-    check_program,
-    dueling_coins,
-    flip,
-    gaussian,
-    geometric_primes,
-    hare_tortoise,
-    laplace,
-    n_sided_die,
-    parse_expr,
-    parse_program,
-    pretty,
-    seq,
-)
-from repro.semantics import (
-    ExtReal,
-    LoopOptions,
-    cwp,
-    wlp,
-    wp,
-)
-from repro.cftree import (
-    bernoulli_tree,
-    compile_cpgcl,
-    debias,
-    elim_choices,
-    expected_bits,
-    tcwp,
-    twlp,
-    twp,
-    uniform_tree,
-)
-from repro.engine import BatchSampler
-from repro.itree import cpgcl_to_itree, itwp, itwp_tied, tie_itree, to_itree_open
-from repro.sampler import collect, preimage, run_itree, run_row
-from repro.uniform import ZarUniform
-from repro.bits import CountingBits, ReplayBits, SystemBits
-from repro.inference import (
-    Interval,
-    Posterior,
-    infer_posterior,
-    infer_query,
-    refine_until,
-)
-from repro.mcmc import MHSampler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Assign",
-    "BatchSampler",
-    "Choice",
-    "Command",
-    "CountingBits",
-    "Expr",
-    "ExtReal",
-    "Interval",
-    "Ite",
-    "Lit",
-    "LoopOptions",
-    "MHSampler",
-    "Observe",
-    "Posterior",
-    "ReplayBits",
-    "Seq",
-    "Skip",
-    "State",
-    "SystemBits",
-    "Uniform",
-    "Var",
-    "While",
-    "ZarUniform",
-    "bernoulli_exponential",
-    "bernoulli_exponential_0_1",
-    "bernoulli_tree",
-    "check_program",
-    "collect",
-    "compile_cpgcl",
-    "cpgcl_to_itree",
-    "cwp",
-    "debias",
-    "dueling_coins",
-    "elim_choices",
-    "expected_bits",
-    "flip",
-    "gaussian",
-    "geometric_primes",
-    "hare_tortoise",
-    "infer_posterior",
-    "infer_query",
-    "itwp",
-    "itwp_tied",
-    "laplace",
-    "n_sided_die",
-    "parse_expr",
-    "parse_program",
-    "preimage",
-    "pretty",
-    "refine_until",
-    "run_itree",
-    "run_row",
-    "seq",
-    "tcwp",
-    "tie_itree",
-    "to_itree_open",
-    "twlp",
-    "twp",
-    "uniform_tree",
-    "wlp",
-    "wp",
-]
+# Each public name -> the module that defines it.  Nothing is imported
+# until a name is read, so ``python -m repro`` loads only what its
+# subcommand runs (see "Start-up" in docs/architecture.md).
+_EXPORTS = {
+    "Assign": "repro.lang.syntax",
+    "Choice": "repro.lang.syntax",
+    "Command": "repro.lang.syntax",
+    "Ite": "repro.lang.syntax",
+    "Observe": "repro.lang.syntax",
+    "Seq": "repro.lang.syntax",
+    "Skip": "repro.lang.syntax",
+    "Uniform": "repro.lang.syntax",
+    "While": "repro.lang.syntax",
+    "seq": "repro.lang.syntax",
+    "Expr": "repro.lang.expr",
+    "Lit": "repro.lang.expr",
+    "Var": "repro.lang.expr",
+    "State": "repro.lang.state",
+    "bernoulli_exponential": "repro.lang.sugar",
+    "bernoulli_exponential_0_1": "repro.lang.sugar",
+    "dueling_coins": "repro.lang.sugar",
+    "flip": "repro.lang.sugar",
+    "gaussian": "repro.lang.sugar",
+    "geometric_primes": "repro.lang.sugar",
+    "hare_tortoise": "repro.lang.sugar",
+    "laplace": "repro.lang.sugar",
+    "n_sided_die": "repro.lang.sugar",
+    "parse_expr": "repro.lang.parser",
+    "parse_program": "repro.lang.parser",
+    "pretty": "repro.lang.pretty",
+    "check_program": "repro.lang.typecheck",
+    "ExtReal": "repro.semantics.extreal",
+    "LoopOptions": "repro.semantics.fixpoint",
+    "wlp": "repro.semantics.wp",
+    "wp": "repro.semantics.wp",
+    "cwp": "repro.semantics.cwp",
+    "bernoulli_tree": "repro.cftree.uniform",
+    "uniform_tree": "repro.cftree.uniform",
+    "compile_cpgcl": "repro.cftree.compile",
+    "debias": "repro.cftree.debias",
+    "elim_choices": "repro.cftree.elim",
+    "expected_bits": "repro.cftree.analysis",
+    "tcwp": "repro.cftree.semantics",
+    "twlp": "repro.cftree.semantics",
+    "twp": "repro.cftree.semantics",
+    "BatchSampler": "repro.engine.api",
+    "cpgcl_to_itree": "repro.itree.unfold",
+    "tie_itree": "repro.itree.unfold",
+    "to_itree_open": "repro.itree.unfold",
+    "itwp": "repro.itree.semantics",
+    "itwp_tied": "repro.itree.semantics",
+    "collect": "repro.sampler.record",
+    "run_itree": "repro.sampler.run",
+    "preimage": "repro.sampler.preimage",
+    "run_row": "repro.sampler.harness",
+    "ZarUniform": "repro.uniform.api",
+    "CountingBits": "repro.bits.source",
+    "ReplayBits": "repro.bits.source",
+    "SystemBits": "repro.bits.source",
+    "Interval": "repro.inference.interval",
+    "Posterior": "repro.inference.posterior",
+    "infer_posterior": "repro.inference.posterior",
+    "infer_query": "repro.inference.posterior",
+    "refine_until": "repro.inference.posterior",
+    "MHSampler": "repro.mcmc.sampler",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

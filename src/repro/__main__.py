@@ -1,8 +1,6 @@
 """``python -m repro`` entry point."""
 
-import sys
-
-from repro.cli.main import main
+from repro.cli.main import console_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

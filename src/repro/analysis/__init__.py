@@ -14,49 +14,35 @@ Layers (each usable on its own):
 - :mod:`repro.analysis.bitcost` -- Knuth--Yao entropy vs expected bits.
 """
 
-from repro.analysis.diagnostics import RULES, Diagnostic, Rule, Severity
-from repro.analysis.domains import AbsState, AbsVal, Interval
-from repro.analysis.framework import (
-    AnalysisBudget,
-    AnalysisContext,
-    register_analyzer,
-    solve_fixpoint,
-)
-from repro.analysis.interp import (
-    AbstractInterpreter,
-    ProgramAnalysis,
-    aeval,
-    analyze,
-    assume,
-)
-from repro.analysis.lint import (
-    DEFAULT_ANALYZERS,
-    LintReport,
-    lint_program,
-    lint_source,
-)
-from repro.analysis.prune import prune_command
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AbsState",
-    "AbsVal",
-    "AbstractInterpreter",
-    "AnalysisBudget",
-    "AnalysisContext",
-    "DEFAULT_ANALYZERS",
-    "Diagnostic",
-    "Interval",
-    "LintReport",
-    "ProgramAnalysis",
-    "RULES",
-    "Rule",
-    "Severity",
-    "aeval",
-    "analyze",
-    "assume",
-    "lint_program",
-    "lint_source",
-    "prune_command",
-    "register_analyzer",
-    "solve_fixpoint",
-]
+# Resolved on first access: the compiler's ``prune_dead`` pass needs only
+# ``interp`` and ``prune``, and must not pull in the linter's bit-cost
+# analyzer (and with it ``repro.inference`` and ``repro.semantics``).
+_EXPORTS = {
+    "RULES": "repro.analysis.diagnostics",
+    "Diagnostic": "repro.analysis.diagnostics",
+    "Rule": "repro.analysis.diagnostics",
+    "Severity": "repro.analysis.diagnostics",
+    "AbsState": "repro.analysis.domains",
+    "AbsVal": "repro.analysis.domains",
+    "Interval": "repro.analysis.domains",
+    "AnalysisBudget": "repro.analysis.framework",
+    "AnalysisContext": "repro.analysis.framework",
+    "register_analyzer": "repro.analysis.framework",
+    "solve_fixpoint": "repro.analysis.framework",
+    "AbstractInterpreter": "repro.analysis.interp",
+    "ProgramAnalysis": "repro.analysis.interp",
+    "aeval": "repro.analysis.interp",
+    "analyze": "repro.analysis.interp",
+    "assume": "repro.analysis.interp",
+    "DEFAULT_ANALYZERS": "repro.analysis.lint",
+    "LintReport": "repro.analysis.lint",
+    "lint_program": "repro.analysis.lint",
+    "lint_source": "repro.analysis.lint",
+    "prune_command": "repro.analysis.prune",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,39 +10,36 @@ inference semantics (Definitions 3.2-3.4), the compiler from cpGCL
 model, and the ``elim_choices`` optimization.
 """
 
-from repro.cftree.tree import Choice, Fail, Fix, Leaf, CFTree, LOOPBACK
-from repro.cftree.monad import bind, fmap
-from repro.cftree.semantics import tcwp, twlp, twp
-from repro.cftree.uniform import bernoulli_tree, uniform_tree
-from repro.cftree.compile import compile_cpgcl
+# ``debias`` is imported eagerly: it is also the name of a submodule,
+# and once ``repro.cftree.debias`` is imported the package attribute
+# would be the module.  Everything else resolves on first access, so
+# ``python -m repro sample`` never imports the tree semantics (and with
+# them all of ``repro.semantics``) or the tree analyses.
 from repro.cftree.debias import debias
-from repro.cftree.elim import elim_choices
-from repro.cftree.analysis import (
-    expected_bits,
-    is_unbiased,
-    tree_depth,
-    tree_size,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CFTree",
-    "Choice",
-    "Fail",
-    "Fix",
-    "LOOPBACK",
-    "Leaf",
-    "bernoulli_tree",
-    "bind",
-    "compile_cpgcl",
-    "debias",
-    "elim_choices",
-    "expected_bits",
-    "fmap",
-    "is_unbiased",
-    "tcwp",
-    "tree_depth",
-    "tree_size",
-    "twlp",
-    "twp",
-    "uniform_tree",
-]
+_EXPORTS = {
+    "CFTree": "repro.cftree.tree",
+    "Choice": "repro.cftree.tree",
+    "Fail": "repro.cftree.tree",
+    "Fix": "repro.cftree.tree",
+    "LOOPBACK": "repro.cftree.tree",
+    "Leaf": "repro.cftree.tree",
+    "bind": "repro.cftree.monad",
+    "fmap": "repro.cftree.monad",
+    "tcwp": "repro.cftree.semantics",
+    "twlp": "repro.cftree.semantics",
+    "twp": "repro.cftree.semantics",
+    "bernoulli_tree": "repro.cftree.uniform",
+    "uniform_tree": "repro.cftree.uniform",
+    "compile_cpgcl": "repro.cftree.compile",
+    "elim_choices": "repro.cftree.elim",
+    "expected_bits": "repro.cftree.analysis",
+    "is_unbiased": "repro.cftree.analysis",
+    "tree_depth": "repro.cftree.analysis",
+    "tree_size": "repro.cftree.analysis",
+}
+
+__all__ = sorted(set(_EXPORTS) | {"debias"})
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -4,27 +4,21 @@ Each command takes parsed arguments plus an output stream, returns a
 process exit code, and raises nothing user-triggerable: parse/check
 failures are rendered as diagnostics and a nonzero exit code, matching
 what a downstream user expects from a compiler driver.
+
+Each command imports the subsystems it runs (inference, MCMC, the tree
+analyses, the linter) inside its own body, so a ``python -m repro``
+process loads only what its subcommand executes.
 """
 
-import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Optional, TextIO
 
-from repro.cftree.analysis import expected_bits, is_unbiased, tree_depth, tree_size
-from repro.cftree.compile import compile_cpgcl
-from repro.cftree.debias import debias
-from repro.cftree.elim import elim_choices
-from repro.cftree.viz import render_cftree
-from repro.inference import fixpoint_posterior, infer_posterior
 from repro.lang.errors import CpGCLError
-from repro.lang.parser import parse_program, parse_program_located
-from repro.lang.pretty import pretty
+from repro.lang.parser import parse_program
 from repro.lang.state import State
 from repro.lang.syntax import Command
-from repro.lang.typecheck import check_program
 from repro.lang.values import normalize
-from repro.mcmc import MHSampler, effective_sample_size
 
 
 class CliError(Exception):
@@ -79,6 +73,8 @@ def cmd_check(args, out: TextIO) -> int:
     warnings, 2 lint errors.
     """
     from repro.analysis.lint import lint_program
+    from repro.lang.parser import parse_program_located
+    from repro.lang.typecheck import check_program
 
     source = load_source(args.file)
     try:
@@ -132,12 +128,25 @@ def cmd_lint(args, out: TextIO) -> int:
 
 
 def cmd_pretty(args, out: TextIO) -> int:
+    from repro.lang.pretty import pretty
+
     program = load_program(args.file)
     print(pretty(program), file=out)
     return 0
 
 
 def cmd_compile(args, out: TextIO) -> int:
+    from repro.cftree.analysis import (
+        expected_bits,
+        is_unbiased,
+        tree_depth,
+        tree_size,
+    )
+    from repro.cftree.compile import compile_cpgcl
+    from repro.cftree.debias import debias
+    from repro.cftree.elim import elim_choices
+    from repro.cftree.viz import render_cftree
+
     program = load_program(args.file)
     sigma = parse_initial_state(args.init)
     tree = compile_cpgcl(program, sigma)
@@ -333,6 +342,8 @@ def cmd_sample(args, out: TextIO) -> int:
 
 
 def cmd_infer(args, out: TextIO) -> int:
+    from repro.inference import infer_posterior
+
     program = load_program(args.file)
     sigma = parse_initial_state(args.init)
     if args.budget < 0:
@@ -371,6 +382,8 @@ def cmd_infer(args, out: TextIO) -> int:
 
 def cmd_bounds(args, out: TextIO) -> int:
     import json
+
+    from repro.inference import fixpoint_posterior
 
     program = load_program(args.file)
     sigma = parse_initial_state(args.init)
@@ -481,8 +494,16 @@ def cmd_bounds(args, out: TextIO) -> int:
 
 
 def cmd_mcmc(args, out: TextIO) -> int:
+    from repro.mcmc import MHSampler, effective_sample_size
+
     program = load_program(args.file)
     sigma = parse_initial_state(args.init)
+    if args.n < 1:
+        raise CliError("-n must be positive")
+    if args.thin < 1:
+        raise CliError("--thin must be positive")
+    if args.burn_in < 0:
+        raise CliError("--burn-in must be nonnegative")
     chain = MHSampler(program, sigma, seed=args.seed).run(
         args.n, burn_in=args.burn_in, thin=args.thin
     )

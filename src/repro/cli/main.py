@@ -18,6 +18,7 @@ the trace-MH extension.
 """
 
 import argparse
+import os
 import sys
 from typing import List, Optional, TextIO
 
@@ -216,5 +217,18 @@ def main(argv: Optional[List[str]] = None, out: Optional[TextIO] = None) -> int:
 
 
 def console_main() -> None:
-    """``zar-repro`` console-script entry point (exits the process)."""
-    sys.exit(main())
+    """Process entry point of ``python -m repro`` and the ``zar-repro``
+    console script: runs :func:`main` and exits with its code."""
+    try:
+        code = main()
+        # Flush inside the handler: a reader that closed the pipe
+        # (``zar compile ... | head -1``) surfaces here, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the ``signal`` module docs advise for SIGPIPE: point stdout
+        # at devnull so the interpreter's final flush cannot fail again,
+        # and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -24,6 +24,8 @@ stage from here, so the package must not eagerly import the pipeline
 (which imports ``repro.cftree`` back).
 """
 
+from repro._lazy import lazy_exports
+
 _EXPORTS = {
     "Pipeline": "repro.compiler.pipeline",
     "CompiledProgram": "repro.compiler.pipeline",
@@ -47,11 +49,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,68 +9,41 @@ implementation; the differential test suite pins the engine to it
 bit for bit.
 """
 
-from repro.engine.api import (
-    BACKENDS,
-    ENGINES,
-    BatchSampler,
-    CollectResult,
-    collect_auto,
-)
-from repro.engine.driver import (
-    ENGINE_FAIL,
-    collect_numpy,
-    collect_python,
-    run_table,
-)
-from repro.engine.native import (
-    collect_kernel,
-    kernel_for,
-    native_available,
-)
-from repro.engine.pool import BitPool, HAVE_NUMPY, SourcePool
-from repro.engine.profile import (
-    PROFILES,
-    EngineProfile,
-    ProgramFeatures,
-    features_of,
-    profile_from_dict,
-    profile_named,
-    register_profile,
-    static_profile,
-)
-from repro.engine.table import (
-    LoweringError,
-    NodeTable,
-    TableOverflow,
-    lower_cftree,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "BatchSampler",
-    "BitPool",
-    "CollectResult",
-    "ENGINES",
-    "ENGINE_FAIL",
-    "EngineProfile",
-    "PROFILES",
-    "ProgramFeatures",
-    "collect_auto",
-    "collect_kernel",
-    "features_of",
-    "HAVE_NUMPY",
-    "kernel_for",
-    "LoweringError",
-    "native_available",
-    "NodeTable",
-    "profile_from_dict",
-    "profile_named",
-    "register_profile",
-    "SourcePool",
-    "static_profile",
-    "TableOverflow",
-    "collect_numpy",
-    "collect_python",
-    "lower_cftree",
-    "run_table",
-]
+# Resolved on first access, so a process that only needs the engine's
+# registries (``zar lint``'s argument parser) never loads the native
+# backend.
+_EXPORTS = {
+    "BACKENDS": "repro.engine.api",
+    "ENGINES": "repro.engine.api",
+    "BatchSampler": "repro.engine.api",
+    "CollectResult": "repro.engine.api",
+    "collect_auto": "repro.engine.api",
+    "ENGINE_FAIL": "repro.engine.driver",
+    "collect_numpy": "repro.engine.driver",
+    "collect_python": "repro.engine.driver",
+    "run_table": "repro.engine.driver",
+    "collect_kernel": "repro.engine.native.driver",
+    "kernel_for": "repro.engine.native.driver",
+    "native_available": "repro.engine.native.kernel",
+    "BitPool": "repro.engine.pool",
+    "HAVE_NUMPY": "repro.engine.pool",
+    "SourcePool": "repro.engine.pool",
+    "PROFILES": "repro.engine.profile",
+    "EngineProfile": "repro.engine.profile",
+    "ProgramFeatures": "repro.engine.profile",
+    "features_of": "repro.engine.profile",
+    "profile_from_dict": "repro.engine.profile",
+    "profile_named": "repro.engine.profile",
+    "register_profile": "repro.engine.profile",
+    "static_profile": "repro.engine.profile",
+    "LoweringError": "repro.engine.table",
+    "NodeTable": "repro.engine.table",
+    "TableOverflow": "repro.engine.table",
+    "lower_cftree": "repro.engine.table",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

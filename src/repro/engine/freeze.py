@@ -320,9 +320,9 @@ def thaw_table(blob: dict) -> NodeTable:
         or blob["calls"]
     )
 
-    for value, index in zip(table.payloads, range(len(table.payloads))):
+    for index, value in enumerate(table.payloads):
         try:
-            table._payload_index.setdefault(value, index)
+            table._payload_index.setdefault((type(value), value), index)
         except TypeError:
             pass
 

@@ -17,17 +17,16 @@ same seed a ``BitPool`` always reproduces the same stream (but *not* the
 stream of ``SystemBits(seed)``, which draws one bit per PRNG call).
 """
 
+import importlib.util
 import random
 from typing import Optional
 
 from repro.bits.source import BitSource
 
-try:  # numpy is optional everywhere outside repro.ml
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-HAVE_NUMPY = _np is not None
+# numpy is optional everywhere outside repro.ml, and only the vectorized
+# driver uses it: look it up without importing it, so a run that never
+# builds an array (a native ``auto`` run, say) never loads numpy.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 _CHUNK_BITS = 4096
 
@@ -97,11 +96,15 @@ def as_pool(source_or_seed):
 
 def matrix_bits(rng, lanes: int):
     """One fair bit per lane as a numpy boolean vector."""
-    return rng.integers(0, 2, size=lanes, dtype=_np.uint8).view(_np.bool_)
+    import numpy as np
+
+    return rng.integers(0, 2, size=lanes, dtype=np.uint8).view(np.bool_)
 
 
 def numpy_rng(seed: Optional[int] = None):
     """A numpy Generator for the vectorized driver (requires numpy)."""
-    if _np is None:
+    if not HAVE_NUMPY:
         raise RuntimeError("numpy is not available in this environment")
-    return _np.random.default_rng(seed)
+    import numpy as np
+
+    return np.random.default_rng(seed)

@@ -200,7 +200,7 @@ class NodeTable:
         # use it to refresh derived (numpy) views incrementally.
         self.version = 0
         self._fail_node = -1
-        self._payload_index: Dict[object, int] = {}
+        self._payload_index: Dict[Tuple[type, object], int] = {}
         # Memo keys are *content tokens* wherever content keys exist
         # (see repro.cftree.keys); identity fallbacks are pinned by the
         # memo values, which hold the tree/fix/continuation objects --
@@ -283,8 +283,11 @@ class NodeTable:
         return index
 
     def _leaf(self, value: object) -> int:
+        # Keyed by type as well as value: ``True == 1 == Fraction(1)``
+        # hash alike, but a leaf must return the value it was built with.
+        key = (type(value), value)
         try:
-            pidx = self._payload_index.get(value)
+            pidx = self._payload_index.get(key)
             hashable = True
         except TypeError:
             pidx, hashable = None, False
@@ -292,7 +295,7 @@ class NodeTable:
             pidx = len(self.payloads)
             self.payloads.append(value)
             if hashable:
-                self._payload_index[value] = pidx
+                self._payload_index[key] = pidx
         return self._alloc(OP_LEAF, payload=pidx)
 
     def _fail(self) -> int:

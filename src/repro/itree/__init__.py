@@ -11,25 +11,29 @@ The pipeline entry point :func:`cpgcl_to_itree` (Definition 3.13) composes
 compile -> elim_choices -> debias -> to_itree_open -> tie_itree.
 """
 
-from repro.itree.itree import ITree, Left, Ret, Right, Tau, Vis
-from repro.itree.combinators import bind, fmap, iter_itree
-from repro.itree.unfold import cpgcl_to_itree, tie_itree, to_itree_open
-from repro.itree.semantics import ItwpResult, itwp, itwp_tied
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ITree",
-    "ItwpResult",
-    "Left",
-    "Ret",
-    "Right",
-    "Tau",
-    "Vis",
-    "bind",
-    "cpgcl_to_itree",
-    "fmap",
-    "iter_itree",
-    "itwp",
-    "itwp_tied",
-    "tie_itree",
-    "to_itree_open",
-]
+# Resolved on first access: the trampoline's ``repro.itree.itree`` import
+# must not pull in the unfolding (the whole CF-tree compiler) or the
+# ITree semantics (all of ``repro.semantics``).
+_EXPORTS = {
+    "ITree": "repro.itree.itree",
+    "Left": "repro.itree.itree",
+    "Ret": "repro.itree.itree",
+    "Right": "repro.itree.itree",
+    "Tau": "repro.itree.itree",
+    "Vis": "repro.itree.itree",
+    "bind": "repro.itree.combinators",
+    "fmap": "repro.itree.combinators",
+    "iter_itree": "repro.itree.combinators",
+    "cpgcl_to_itree": "repro.itree.unfold",
+    "tie_itree": "repro.itree.unfold",
+    "to_itree_open": "repro.itree.unfold",
+    "ItwpResult": "repro.itree.semantics",
+    "itwp": "repro.itree.semantics",
+    "itwp_tied": "repro.itree.semantics",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

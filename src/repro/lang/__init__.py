@@ -7,92 +7,55 @@ states, a first-class expression AST, the command AST, derived commands
 concrete syntax with lexer/parser, a pretty-printer, and a static checker.
 """
 
-from repro.lang.errors import (
-    CpGCLError,
-    EvalError,
-    ParseError,
-    TypeCheckError,
-)
-from repro.lang.values import Value, is_value, value_eq
-from repro.lang.state import State
-from repro.lang.expr import (
-    BinOp,
-    Call,
-    Expr,
-    Lit,
-    Opaque,
-    UnOp,
-    Var,
-    to_expr,
-)
-from repro.lang.syntax import (
-    Assign,
-    Choice,
-    Command,
-    Ite,
-    Observe,
-    Seq,
-    Skip,
-    Uniform,
-    While,
-    seq,
-)
-from repro.lang.sugar import (
-    bernoulli_exponential,
-    bernoulli_exponential_0_1,
-    dueling_coins,
-    flip,
-    gaussian,
-    gaussian_0,
-    geometric_primes,
-    hare_tortoise,
-    laplace,
-    n_sided_die,
-)
+# ``pretty`` is imported eagerly because it is also the name of a
+# submodule (see :mod:`repro._lazy`); the rest resolves on first access,
+# so parsing a program does not load the derived commands or the static
+# checker.
 from repro.lang.pretty import pretty, pretty_expr
-from repro.lang.parser import parse_expr, parse_program
-from repro.lang.typecheck import check_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Assign",
-    "BinOp",
-    "Call",
-    "Choice",
-    "Command",
-    "CpGCLError",
-    "EvalError",
-    "Expr",
-    "Ite",
-    "Lit",
-    "Observe",
-    "Opaque",
-    "ParseError",
-    "Seq",
-    "Skip",
-    "State",
-    "TypeCheckError",
-    "UnOp",
-    "Uniform",
-    "Value",
-    "Var",
-    "While",
-    "bernoulli_exponential",
-    "bernoulli_exponential_0_1",
-    "check_program",
-    "dueling_coins",
-    "flip",
-    "gaussian",
-    "gaussian_0",
-    "geometric_primes",
-    "hare_tortoise",
-    "is_value",
-    "laplace",
-    "n_sided_die",
-    "parse_expr",
-    "parse_program",
-    "pretty",
-    "pretty_expr",
-    "seq",
-    "to_expr",
-    "value_eq",
-]
+_EXPORTS = {
+    "CpGCLError": "repro.lang.errors",
+    "EvalError": "repro.lang.errors",
+    "ParseError": "repro.lang.errors",
+    "TypeCheckError": "repro.lang.errors",
+    "Value": "repro.lang.values",
+    "is_value": "repro.lang.values",
+    "value_eq": "repro.lang.values",
+    "State": "repro.lang.state",
+    "BinOp": "repro.lang.expr",
+    "Call": "repro.lang.expr",
+    "Expr": "repro.lang.expr",
+    "Lit": "repro.lang.expr",
+    "Opaque": "repro.lang.expr",
+    "UnOp": "repro.lang.expr",
+    "Var": "repro.lang.expr",
+    "to_expr": "repro.lang.expr",
+    "Assign": "repro.lang.syntax",
+    "Choice": "repro.lang.syntax",
+    "Command": "repro.lang.syntax",
+    "Ite": "repro.lang.syntax",
+    "Observe": "repro.lang.syntax",
+    "Seq": "repro.lang.syntax",
+    "Skip": "repro.lang.syntax",
+    "Uniform": "repro.lang.syntax",
+    "While": "repro.lang.syntax",
+    "seq": "repro.lang.syntax",
+    "bernoulli_exponential": "repro.lang.sugar",
+    "bernoulli_exponential_0_1": "repro.lang.sugar",
+    "dueling_coins": "repro.lang.sugar",
+    "flip": "repro.lang.sugar",
+    "gaussian": "repro.lang.sugar",
+    "gaussian_0": "repro.lang.sugar",
+    "geometric_primes": "repro.lang.sugar",
+    "hare_tortoise": "repro.lang.sugar",
+    "laplace": "repro.lang.sugar",
+    "n_sided_die": "repro.lang.sugar",
+    "parse_expr": "repro.lang.parser",
+    "parse_program": "repro.lang.parser",
+    "check_program": "repro.lang.typecheck",
+}
+
+__all__ = sorted(set(_EXPORTS) | {"pretty", "pretty_expr"})
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,17 +15,13 @@ comparison:
 
 numpy accelerates the ACF dot products when present but is optional
 (like everywhere else in the engine): the pure-Python path computes the
-same sums, so ``import repro`` and the mcmc entry points work on the
-numpy-free CI matrix row.
+same sums, so the mcmc entry points work on the numpy-free CI matrix
+row.  It is imported by :func:`autocorrelation`, the one function that
+uses it, so importing this module never loads it.
 """
 
 import math
 from typing import List, Sequence
-
-try:
-    import numpy as np
-except ImportError:  # pure-Python fallback below
-    np = None
 
 
 def _dot(xs, ys) -> float:
@@ -39,6 +35,10 @@ def autocorrelation(values: Sequence[float], max_lag: int) -> List[float]:
         raise ValueError("need at least two values")
     if max_lag >= n:
         raise ValueError("max_lag must be below the series length")
+    try:
+        import numpy as np
+    except ImportError:  # pure-Python fallback below
+        np = None
     if np is not None:
         data = np.asarray(values, dtype=float)
         centered = data - data.mean()

@@ -10,26 +10,25 @@
   benchmark suite to regenerate the paper's tables.
 """
 
-from repro.sampler.run import FuelExhausted, run_itree, run_with_bits
-from repro.sampler.record import SampleSet, collect
+# ``preimage`` is imported eagerly because it is also the name of a
+# submodule (see :mod:`repro._lazy`); the rest resolves on first access,
+# so the batch engine's ``SampleSet`` import does not pull in the
+# harness (``repro.itree.unfold``, ``repro.stats``).
 from repro.sampler.preimage import PreimageResult, preimage
-from repro.sampler.harness import (
-    Row,
-    format_table,
-    program_sampler,
-    run_row,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FuelExhausted",
-    "PreimageResult",
-    "Row",
-    "SampleSet",
-    "collect",
-    "format_table",
-    "preimage",
-    "program_sampler",
-    "run_itree",
-    "run_row",
-    "run_with_bits",
-]
+_EXPORTS = {
+    "FuelExhausted": "repro.sampler.run",
+    "run_itree": "repro.sampler.run",
+    "run_with_bits": "repro.sampler.run",
+    "SampleSet": "repro.sampler.record",
+    "collect": "repro.sampler.record",
+    "Row": "repro.sampler.harness",
+    "format_table": "repro.sampler.harness",
+    "program_sampler": "repro.sampler.harness",
+    "run_row": "repro.sampler.harness",
+}
+
+__all__ = sorted(set(_EXPORTS) | {"PreimageResult", "preimage"})
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,7 +10,8 @@ a first-class, inspectable object:
 - :class:`LoopChain` -- queries on top: exit distribution from the
   initial state, expected iterations, termination probability, and the
   transient/recurrent structure via strongly connected components
-  (networkx).
+  (networkx, imported by the two methods that use it: it is an optional
+  dependency, the ``graph`` extra).
 
 Useful both as a debugging aid for the inference engine and as an
 analysis in its own right (e.g. the dueling-coins chain has 4 states
@@ -19,9 +20,7 @@ two-state chains).
 """
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 from repro.lang.state import State
 from repro.lang.syntax import (
@@ -37,6 +36,9 @@ from repro.lang.syntax import (
 )
 from repro.lang.values import as_bool, as_fraction, as_int
 from repro.semantics.fixpoint import StateSpaceExceeded
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class LoopChain(NamedTuple):
@@ -57,6 +59,8 @@ class LoopChain(NamedTuple):
 
     def graph(self) -> "nx.DiGraph":
         """The loop-state transition graph (probabilities as weights)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.states)
         for source, targets in self.transitions.items():
@@ -68,6 +72,8 @@ class LoopChain(NamedTuple):
         """SCCs with no internal leak: states the loop can never leave
         (probability-1 internal mass).  Nonempty iff the loop diverges
         with positive probability from some reachable state."""
+        import networkx as nx
+
         g = self.graph()
         closed = []
         for component in nx.strongly_connected_components(g):

@@ -80,8 +80,9 @@ class TestChainAnalyses:
         loop = While(Lit(True), Skip())
         chain = extract_chain(loop, S0)
         assert chain.termination_probability() == 0
-        assert chain.recurrent_classes() == [frozenset({S0})]
         assert chain.expected_iterations() is None
+        pytest.importorskip("networkx")  # the optional ``graph`` extra
+        assert chain.recurrent_classes() == [frozenset({S0})]
 
     def test_expected_iterations_geometric(self):
         # P(continue) = 1/3 each round: E[body runs] = 1/(1 - 1/3) = 3/2.
@@ -116,6 +117,7 @@ class TestChainAnalyses:
         assert heads == Fraction(1, 2)
 
     def test_graph_structure(self):
+        pytest.importorskip("networkx")
         loop, start = geometric_loop(Fraction(1, 2))
         chain = extract_chain(loop, start)
         graph = chain.graph()

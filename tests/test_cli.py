@@ -1,7 +1,11 @@
 """Tests for the command-line driver (repro.cli)."""
 
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,45 @@ class TestMcmc:
         assert "acceptance:" in text
         assert "bits/sample:" in text
         assert "ESS(pos):" in text
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("-n", "0"), ("-n", "-3"), ("--thin", "0"), ("--thin", "-1"),
+         ("--burn-in", "-1")],
+        ids=["n=0", "n=-3", "thin=0", "thin=-1", "burn-in=-1"],
+    )
+    def test_rejects_bad_counts(self, programs_dir, flag, value):
+        code, text = run_cli(
+            "mcmc", str(programs_dir / "walk.gcl"), "%s=%s" % (flag, value)
+        )
+        assert code == 1
+        assert text.startswith("error: %s " % flag)
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("entry", [
+        ["-m", "repro"],
+        ["-c", "from repro.cli.main import console_main; console_main()"],
+    ], ids=["python -m repro", "console_main"])
+    def test_closed_stdout_exits_without_traceback(self, programs_dir,
+                                                   entry):
+        # The reader is gone before the first write, as in
+        # ``zar pretty ... | head -0``.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent
+                                / "src")
+        proc = subprocess.Popen(
+            [sys.executable] + entry
+            + ["pretty", str(programs_dir / "die.gcl")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        try:
+            stderr = proc.stderr.read().decode()
+        finally:
+            proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in stderr
 
 
 class TestInitialStateParsing:

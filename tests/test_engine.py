@@ -19,6 +19,7 @@ from repro.engine import (
     lower_cftree,
 )
 from repro.compiler.pipeline import Pipeline, compile_program
+from repro.engine.freeze import freeze_table, thaw_table
 from repro.engine.table import OP_BIT, OP_JMP, OP_LEAF
 from repro.lang.expr import Var
 from repro.lang.state import State
@@ -263,6 +264,32 @@ class TestPayloadMapping:
         assert result.values == fresh.collect(
             2000, seed=5, extract=extract, backend="python"
         ).values
+
+    @pytest.mark.parametrize("left, right", [(True, 1), (Fraction(1), 1)])
+    def test_equal_payloads_of_different_types_stay_distinct(
+        self, left, right
+    ):
+        # ``True == 1 == Fraction(1)`` and they hash alike, but each leaf
+        # must return the value it was built with.
+        def typed(values):
+            return {(type(value), value) for value in values}
+
+        sampler = BatchSampler.from_cftree(
+            Choice(Fraction(1, 2), Leaf(left), Leaf(right))
+        )
+        expected = {(type(left), left), (type(right), right)}
+        assert typed(sampler.table.payloads) == expected
+        result = sampler.collect(200, seed=3, backend="python")
+        assert typed(result.values) == expected
+
+        thawed = thaw_table(freeze_table(sampler.table))
+        assert typed(thawed.payloads) == expected
+        assert typed(
+            BatchSampler(thawed).collect(200, seed=3, backend="python").values
+        ) == expected
+        for value in (left, right):
+            row = thawed._leaf(value)
+            assert type(thawed.payloads[thawed.payload[row]]) is type(value)
 
 
 class TestBitPool:
