@@ -46,7 +46,7 @@ def measure_native_rows(cases, seed=17):
     """Time native vs numpy per case; returns ``(rows, geomean)``.
 
     ``cases`` is ``[(param_label, command, weight, variable)]``.  Each
-    case is compiled with the default batch profile knobs, resolved to
+    case is compiled through the default pipeline, resolved to
     a kernel (a case the resolver refuses fails the bench loudly -- the
     speedup suite only runs on closed tables), spot-checked bit-for-bit
     against the pooled Python driver, then timed median-of-reps on both
@@ -61,15 +61,11 @@ def measure_native_rows(cases, seed=17):
     from repro.engine.pool import BitPool
     from repro.engine.profile import PROFILES
 
-    base = PROFILES["batch-auto"]
     rows = []
     product = 1.0
     for param, command, weight, variable in cases:
         count = bench_samples(weight)
-        program = compile_program(
-            command, None, passes=base.passes, coalesce=base.coalesce,
-            max_nodes=base.max_nodes,
-        )
+        program = compile_program(command)
         bound, reason, info = kernel_for(program.table)
         assert bound is not None, "%s: native refused: %s" % (param, reason)
 

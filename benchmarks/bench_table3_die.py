@@ -16,7 +16,7 @@ import pytest
 
 from repro.cftree.analysis import expected_bits
 from repro.cftree.uniform import uniform_tree
-from repro.engine import collect_auto, profile_named, static_profile
+from repro.engine import PROFILES, collect_auto, static_profile
 from repro.lang.sugar import n_sided_die
 from repro.sampler.harness import format_table, run_row
 from repro.stats.distributions import uniform_pmf
@@ -85,7 +85,7 @@ def test_table3_engine_speedup(benchmark):
     engine_count = bench_samples()
     trampoline_count = max(300, engine_count // 10)
 
-    tramp_profile = profile_named("trampoline")
+    tramp_profile = PROFILES["trampoline"]
     extract = lambda s: s["x"]  # noqa: E731
     collect_auto(program, 50, seed=0, extract=extract,
                  profile=tramp_profile)  # warm caches
@@ -107,7 +107,7 @@ def test_table3_engine_speedup(benchmark):
     speedup = engine_sps / trampoline_sps
     record = {
         "benchmark": "table3_die_n6",
-        "profile": engine_profile.as_dict(),
+        "profile": engine_profile.name,
         "backend": engine_profile.backend,
         "fallback_reason": second.fallback_reason,
         "engine_samples": engine_count,

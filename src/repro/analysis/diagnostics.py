@@ -32,9 +32,8 @@ ZAR009    bit-cost              info      Knuth--Yao entropy bound vs the
 possible divergence (escape lower bound 0) is a warning.
 """
 
-import sys
 from enum import IntEnum
-from typing import IO, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 class Severity(IntEnum):
@@ -223,11 +222,3 @@ def exit_code(diagnostics: List[Diagnostic]) -> int:
     if worst >= Severity.WARNING:
         return 1
     return 0
-
-
-def render_all(
-    diagnostics: List[Diagnostic], out: Optional[IO[str]] = None
-) -> None:
-    stream: IO[str] = sys.stdout if out is None else out
-    for diagnostic in diagnostics:
-        stream.write(diagnostic.render() + "\n")

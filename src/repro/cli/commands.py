@@ -66,6 +66,22 @@ def _parse_value(raw: str):
         raise CliError("cannot parse value %r (int, bool, or p/q)" % (raw,))
 
 
+def _check_report_flags(args, program: Command, sigma: State,
+                        observed=()) -> None:
+    """Reject a negative ``--top``, and a ``--var``/``--observed`` name
+    that the program never mentions and ``--init`` does not bind: an
+    unbound variable reads as 0, so it would report a point mass at 0."""
+    if args.top < 0:
+        raise CliError("--top must be nonnegative")
+    known = program.free_vars() | program.assigned_vars() | set(sigma.bound())
+    flagged = [("--var", args.var)] + [("--observed", name)
+                                       for name in observed]
+    for flag, name in flagged:
+        if name is not None and name not in known:
+            raise CliError("%s %r is neither a program variable nor bound "
+                           "by --init" % (flag, name))
+
+
 def cmd_check(args, out: TextIO) -> int:
     """``zar check``: parse -> typecheck -> lint.
 
@@ -277,10 +293,15 @@ def _print_engine_selection(prog, out: TextIO) -> None:
 
     Engines, backends, and profiles are enumerated from the engine
     registry (never by hand), so registering a new backend shows up
-    here -- and in ``--engine``/``--profile`` help -- with no CLI edit.
+    here -- and in ``--engine``/``--backend`` help -- with no CLI edit.
     """
-    from repro.engine.api import BACKENDS, ENGINES
-    from repro.engine.profile import PROFILES, features_of, static_profile
+    from repro.engine.profile import (
+        BACKENDS,
+        ENGINES,
+        PROFILES,
+        features_of,
+        static_profile,
+    )
 
     features = features_of(prog)
     print("  engines:       %s (backends: %s)" % (
@@ -295,17 +316,11 @@ def _print_engine_selection(prog, out: TextIO) -> None:
 def cmd_sample(args, out: TextIO) -> int:
     program = load_program(args.file)
     sigma = parse_initial_state(args.init)
+    _check_report_flags(args, program, sigma)
     extract = _extractor(args.var)
     from repro.engine import LoweringError
     from repro.engine.api import collect_auto
-    from repro.engine.profile import profile_named
 
-    profile = None
-    if getattr(args, "profile", None):
-        try:
-            profile = profile_named(args.profile)
-        except ValueError as err:
-            raise CliError(str(err))
     try:
         result = collect_auto(
             program,
@@ -315,7 +330,6 @@ def cmd_sample(args, out: TextIO) -> int:
             extract=extract,
             engine=getattr(args, "engine", "auto"),
             backend=getattr(args, "backend", None),
-            profile=profile,
         )
     except LoweringError as err:
         raise CliError("batch engine: %s" % err)
@@ -327,8 +341,7 @@ def cmd_sample(args, out: TextIO) -> int:
               file=out)
     else:
         print("engine:    trampoline", file=out)
-    if result.profile is not None:
-        print("profile:   %s" % result.profile.describe(), file=out)
+    print("profile:   %s" % result.profile.describe(), file=out)
     if result.fallback_reason:
         print("fallback:  %s" % result.fallback_reason, file=out)
     print("samples:   %d (seed %s)" % (len(samples), args.seed), file=out)
@@ -346,6 +359,7 @@ def cmd_infer(args, out: TextIO) -> int:
 
     program = load_program(args.file)
     sigma = parse_initial_state(args.init)
+    _check_report_flags(args, program, sigma)
     if args.budget < 0:
         raise CliError("--budget must be nonnegative")
     tol = None
@@ -396,6 +410,7 @@ def cmd_bounds(args, out: TextIO) -> int:
         observed = tuple(
             name.strip() for name in args.observed.split(",") if name.strip()
         )
+    _check_report_flags(args, program, sigma, observed or ())
     posterior = fixpoint_posterior(
         program,
         sigma,
@@ -504,6 +519,7 @@ def cmd_mcmc(args, out: TextIO) -> int:
         raise CliError("--thin must be positive")
     if args.burn_in < 0:
         raise CliError("--burn-in must be nonnegative")
+    _check_report_flags(args, program, sigma)
     chain = MHSampler(program, sigma, seed=args.seed).run(
         args.n, burn_in=args.burn_in, thin=args.thin
     )

@@ -23,8 +23,7 @@ import sys
 from typing import List, Optional, TextIO
 
 from repro.compiler.passes import DEFAULT_PASSES
-from repro.engine.api import BACKENDS, ENGINES
-from repro.engine.profile import PROFILES
+from repro.engine.profile import BACKENDS, ENGINES
 
 from repro.cli.commands import (
     CliError,
@@ -134,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report this variable instead of full states")
     p_sample.add_argument("--top", type=int, default=10,
                           help="outcomes to list (default 10)")
-    # Engine/backend/profile choices come from the engine registry --
-    # adding a backend (e.g. "native") is a one-site change there.
+    # Engine/backend choices come from the engine registry -- adding a
+    # backend (e.g. "native") is a one-site change there.
     p_sample.add_argument(
         "--engine", choices=ENGINES, default="auto",
         help="sampling path (%s): the vectorized batch engine; auto "
@@ -147,11 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKENDS, default=None,
         help="batch driver tier (%s); default picks the best available"
         % "|".join(BACKENDS),
-    )
-    p_sample.add_argument(
-        "--profile", choices=tuple(sorted(PROFILES)), default=None,
-        help="named engine profile (%s); pins engine, backend, pass "
-        "list, and node budget in one flag" % ", ".join(sorted(PROFILES)),
     )
     p_sample.set_defaults(run=cmd_sample)
 

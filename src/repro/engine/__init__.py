@@ -15,8 +15,6 @@ from repro._lazy import lazy_exports
 # registries (``zar lint``'s argument parser) never loads the native
 # backend.
 _EXPORTS = {
-    "BACKENDS": "repro.engine.api",
-    "ENGINES": "repro.engine.api",
     "BatchSampler": "repro.engine.api",
     "CollectResult": "repro.engine.api",
     "collect_auto": "repro.engine.api",
@@ -30,13 +28,12 @@ _EXPORTS = {
     "BitPool": "repro.engine.pool",
     "HAVE_NUMPY": "repro.engine.pool",
     "SourcePool": "repro.engine.pool",
+    "BACKENDS": "repro.engine.profile",
+    "ENGINES": "repro.engine.profile",
     "PROFILES": "repro.engine.profile",
     "EngineProfile": "repro.engine.profile",
     "ProgramFeatures": "repro.engine.profile",
     "features_of": "repro.engine.profile",
-    "profile_from_dict": "repro.engine.profile",
-    "profile_named": "repro.engine.profile",
-    "register_profile": "repro.engine.profile",
     "static_profile": "repro.engine.profile",
     "LoweringError": "repro.engine.table",
     "NodeTable": "repro.engine.table",

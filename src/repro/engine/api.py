@@ -22,11 +22,12 @@ harness and benchmarks consume either interchangeably.  Backends:
   runs out at the same position it would under the trampoline.
 
 Engine selection lives in :mod:`repro.engine.profile`: an
-:class:`~repro.engine.profile.EngineProfile` bundles every knob
-(engine, backend, batch size, pass list, coalesce, narrowing, fuel,
-node budget), and :func:`collect_auto` resolves ``engine="auto"`` with
-one static rule, :func:`~repro.engine.profile.static_profile`:
-``native`` for closed tables, else ``numpy``, else ``python``.
+:class:`~repro.engine.profile.EngineProfile` names an ``(engine,
+backend)`` pair, and :func:`collect_auto` resolves every run to one of
+the registered :data:`~repro.engine.profile.PROFILES` --
+``engine="auto"`` with one static rule,
+:func:`~repro.engine.profile.static_profile`: ``native`` for closed
+tables, else ``numpy``, else ``python``.
 """
 
 import time
@@ -36,23 +37,32 @@ from repro.bits.source import BitSource
 from repro.cftree.tree import CFTree
 from repro.engine import driver as _driver
 from repro.engine.pool import BitPool, SourcePool
+from repro.engine.profile import (
+    BACKENDS,
+    ENGINES,
+    PROFILES,
+    features_of,
+    static_profile,
+    validate_profile,
+)
 from repro.engine.table import LoweringError, NodeTable
 from repro.lang.state import State
 from repro.lang.syntax import Command
 from repro.sampler.record import SampleSet
 
-BACKENDS = ("auto", "native", "numpy", "python")
-
-ENGINES = ("auto", "batch", "trampoline")
+#: The registered batch profile of each backend.
+_BACKEND_PROFILES = {profile.backend: profile
+                     for profile in PROFILES.values()
+                     if profile.engine == "batch"}
 
 
 class CollectResult(NamedTuple):
     """``collect_auto``'s result: the samples plus which path ran.
 
-    ``profile`` is the resolved :class:`~repro.engine.profile.
-    EngineProfile`; ``fallback_reason`` carries the stringified
-    ``LoweringError`` when a requested batch path silently downgraded
-    to the trampoline, or a ``"native-unavailable: ..."`` note when the
+    ``profile`` is the registered :class:`~repro.engine.profile.
+    EngineProfile` that ran; ``fallback_reason`` carries the stringified
+    ``LoweringError`` when the batch path downgraded to the
+    trampoline, or a ``"native-unavailable: ..."`` note when the
     native backend downgraded to the bit-identical pooled Python
     backend (``None`` otherwise) -- telemetry records and test
     assertions key on it.  ``seconds`` is sampling wall-clock
@@ -72,19 +82,6 @@ def _narrowed(command: Command, observed) -> Command:
 
     return narrow_command(
         command, observed=tuple(observed) if observed else ()
-    )
-
-
-def _compile_with(command: Command, sigma, profile) -> "object":
-    """Compile ``command`` with the profile's compiler-shaping knobs."""
-    from repro.compiler.pipeline import compile_program
-
-    return compile_program(
-        command,
-        sigma,
-        passes=profile.passes,
-        coalesce=profile.coalesce,
-        max_nodes=profile.max_nodes,
     )
 
 
@@ -111,25 +108,28 @@ def collect_auto(
 ) -> CollectResult:
     """Engine-selection policy shared by the harness, CLI, and checkers.
 
-    The selection seam: every caller funnels through one resolved
-    :class:`~repro.engine.profile.EngineProfile`.
+    Every run resolves to one registered
+    :data:`~repro.engine.profile.PROFILES` entry, reported as
+    ``CollectResult.profile``:
 
-    - ``profile`` pins the full strategy explicitly (CLI ``--profile``,
-      benchmarks); ``engine``/``backend`` are then only used as
-      overrides when passed.
-    - ``engine="auto"`` (no profile) tries the batch engine and falls
-      back to the trampoline when lowering fails -- the fallback is
-      *observable* via ``CollectResult.fallback_reason``.  The profile
-      is :func:`~repro.engine.profile.static_profile` of the compiled
+    - ``profile`` is read as its ``(engine, backend)`` pair; a
+      ``backend`` kwarg still overrides its backend.
+    - ``engine="trampoline"`` resolves to ``trampoline``.
+    - A pinned backend resolves to its profile: ``native``,
+      ``batch-numpy``, ``batch-python`` or ``batch-auto``;
+      ``engine="batch"`` with no backend resolves to ``batch-auto``.
+    - ``engine="auto"`` with nothing pinned resolves to
+      :func:`~repro.engine.profile.static_profile` of the compiled
       program's features: ``native`` for a closed table, else numpy,
       else pure Python.  Under ``fuel`` (only the Python drivers meter
-      it) or a pinned ``backend`` the rule skips ``native``; a pinned
-      backend the rule did not pick reads ``<profile>+<backend>``.  A
-      closed table the kernel still refuses downgrades to ``python``
-      bit-identically, with the refusal in ``fallback_reason``.
-    - ``engine="batch"`` propagates the :class:`LoweringError` instead
-      of falling back; ``engine="trampoline"`` forces the per-sample
-      reference driver.
+      it) the rule takes the pooled default without looking.
+
+    ``engine="batch"`` and a pinned ``profile`` propagate a
+    :class:`LoweringError`; otherwise the run falls back to the
+    trampoline, and the fallback is *observable*: the result reports
+    the ``trampoline`` profile and the error as ``fallback_reason``.  A
+    closed table the kernel still refuses downgrades to ``python``
+    bit-identically, with the refusal in ``fallback_reason``.
 
     ``narrow=True`` applies liveness-driven loop-state narrowing
     (:func:`repro.compiler.liveness.narrow_command`) before sampling;
@@ -142,12 +142,7 @@ def collect_auto(
     appends one JSONL run record: digest, profile, wall-clock,
     samples/s, bits, cache tier, and any fallback reason.
     """
-    from repro.engine.profile import (
-        PROFILES,
-        features_of,
-        static_profile,
-        validate_profile,
-    )
+    from repro.compiler.pipeline import compile_program
 
     if engine not in ENGINES:
         raise ValueError(
@@ -157,81 +152,38 @@ def collect_auto(
         raise ValueError(
             "unknown backend %r (valid: %s)" % (backend, ", ".join(BACKENDS))
         )
-
-    explicit = profile is not None
-    if explicit:
+    strict = engine == "batch" or profile is not None
+    if profile is not None:
         validate_profile(profile)
-        resolved = profile
-    elif engine == "trampoline":
-        resolved = PROFILES["trampoline"]
-    elif engine == "batch":
-        resolved = PROFILES["batch-auto"]
-    else:  # "auto": batch attempt first; backend policy resolved below.
-        resolved = None
-
-    # Per-call overrides win over the profile's stored knobs.
-    run_narrow = narrow or bool(resolved is not None and resolved.narrow)
-    run_fuel = fuel if fuel is not None else (
-        resolved.fuel if resolved is not None else None
-    )
-    if run_narrow:
+        engine = profile.engine
+        if backend is None:
+            backend = profile.backend
+    if narrow:
         command = _narrowed(command, observed)
 
-    # -- trampoline-only paths ------------------------------------------
-    if resolved is not None and resolved.engine == "trampoline":
-        start = time.perf_counter()
-        samples = _run_trampoline(command, n, sigma, seed, extract, run_fuel)
-        seconds = time.perf_counter() - start
-        result = CollectResult(samples, "trampoline", 0, resolved, None,
-                               seconds)
-        _emit_run(None, resolved, result, n, cache_source=None)
-        return result
-
-    # -- batch attempt ---------------------------------------------------
-    # Every profile static_profile returns compiles with batch-auto's
-    # knobs, so "auto" compiles once, before the rule picks a backend.
-    compile_profile = resolved if resolved is not None \
-        else PROFILES["batch-auto"]
     fallback_reason = None
     program = None
-    try:
-        program = _compile_with(command, sigma, compile_profile)
-    except LoweringError as err:
-        if engine == "batch" or explicit:
-            raise
-        fallback_reason = str(err)
-
-    if program is not None:
-        if resolved is None:
-            # The kernel cannot meter fuel, and a pinned backend is a
-            # manual choice: both take the rule's pooled default.
-            features = features_of(program)
-            resolved = static_profile(
-                features if run_fuel is None and backend is None else None
-            )
-        run_backend = backend if backend is not None else resolved.backend
-        if run_backend != resolved.backend:
-            # A kwarg-level backend override is a manual pin, not a
-            # policy decision: fold it into the reported profile so the
-            # CLI/telemetry say what actually ran.
-            resolved = resolved._replace(
-                name="%s+%s" % (resolved.name, run_backend),
-                backend=run_backend,
-            )
-        sampler = BatchSampler(program.table)
-        start = time.perf_counter()
+    if engine != "trampoline":
         try:
+            program = compile_program(command, sigma)
+            if backend is not None:
+                resolved = _BACKEND_PROFILES[backend]
+            elif engine == "batch":
+                resolved = PROFILES["batch-auto"]
+            else:
+                resolved = static_profile(
+                    features_of(program) if fuel is None else None
+                )
+            sampler = BatchSampler(program.table)
+            start = time.perf_counter()
             samples = sampler.collect(
-                n,
-                seed=seed,
-                extract=extract,
-                fuel=run_fuel,
-                backend=run_backend,
-                batch_size=resolved.batch_size,
+                n, seed=seed, extract=extract, fuel=fuel,
+                backend=resolved.backend,
             )
         except LoweringError as err:
-            # Open tables can overflow their node budget mid-sampling.
-            if engine == "batch" or explicit:
+            # Open tables can also overflow their node budget
+            # mid-sampling.
+            if strict:
                 raise
             fallback_reason = str(err)
         else:
@@ -241,24 +193,24 @@ def collect_auto(
                 sampler.native_fallback, seconds
             )
             _emit_run(
-                program, resolved, result, n,
+                program, result, n,
                 cache_source=getattr(program, "source", None),
                 kernel=sampler.native_info,
             )
             return result
 
-    # -- trampoline fallback --------------------------------------------
     start = time.perf_counter()
-    samples = _run_trampoline(command, n, sigma, seed, extract, run_fuel)
+    samples = _run_trampoline(command, n, sigma, seed, extract, fuel)
     seconds = time.perf_counter() - start
     result = CollectResult(
-        samples, "trampoline", 0, resolved, fallback_reason, seconds
+        samples, "trampoline", 0, PROFILES["trampoline"], fallback_reason,
+        seconds
     )
-    _emit_run(program, resolved, result, n, cache_source=None)
+    _emit_run(program, result, n)
     return result
 
 
-def _emit_run(program, profile, result: CollectResult, n: int,
+def _emit_run(program, result: CollectResult, n: int,
               cache_source=None, kernel=None) -> None:
     """Append a telemetry record for one run (no-op when disabled)."""
     from repro.telemetry import make_run_record, emit, telemetry_enabled
@@ -268,11 +220,11 @@ def _emit_run(program, profile, result: CollectResult, n: int,
     emit(
         make_run_record(
             digest=getattr(program, "digest", None),
-            profile=profile.as_dict() if profile is not None else None,
+            profile=result.profile.name,
             n=n,
             seconds=result.seconds,
             engine=result.engine,
-            backend=profile.backend if profile is not None else None,
+            backend=result.profile.backend,
             bits_total=sum(result.samples.bits),
             cache_source=cache_source,
             fallback_reason=result.fallback_reason,
@@ -324,24 +276,6 @@ class BatchSampler:
             coalesce=coalesce,
             max_nodes=max_nodes,
         )
-        return cls(program.table)
-
-    @classmethod
-    def from_profile(
-        cls,
-        command: Command,
-        sigma: Optional[State] = None,
-        profile: Optional[object] = None,
-    ) -> "BatchSampler":
-        """Lower ``command`` with an :class:`~repro.engine.profile.
-        EngineProfile`'s compiler-shaping knobs."""
-        from repro.engine.profile import PROFILES, validate_profile
-
-        if profile is None:
-            profile = PROFILES["batch-auto"]
-        else:
-            validate_profile(profile)
-        program = _compile_with(command, sigma, profile)
         return cls(program.table)
 
     @classmethod
@@ -432,7 +366,6 @@ class BatchSampler:
         extract: Optional[Callable[[object], object]] = None,
         fuel: Optional[int] = None,
         backend: str = "auto",
-        batch_size: Optional[int] = None,
     ) -> SampleSet:
         """Draw ``n`` samples and return a :class:`SampleSet`.
 
@@ -442,15 +375,6 @@ class BatchSampler:
         the same ``extract`` object is passed again
         (:meth:`NodeTable.map_payloads`), so ``extract`` must be a pure
         function of the payload.
-
-        ``batch_size`` splits the collection into chunks of at most that
-        many samples per driver call (bounding peak lane memory on the
-        numpy backend).  Chunked seeded runs derive one seed per chunk,
-        so the draw remains seeded-deterministic and i.i.d. but the
-        concatenated stream differs from an unchunked run;
-        ``batch_size=None`` (the default, and the registry profiles')
-        is the bit-stable single-call path.  An explicit ``source`` is
-        shared by every chunk, so chunking never changes its bit stream.
         """
         if n <= 0:
             raise ValueError("need a positive sample count")
@@ -465,33 +389,9 @@ class BatchSampler:
             backend = "python"
             pool = SourcePool(source)
         elif backend == "auto":
-            from repro.engine.profile import static_profile
-
             backend = static_profile().backend
 
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive or None")
-        if batch_size is None or batch_size >= n:
-            indices, bits = self._collect_indices(n, seed, pool, fuel,
-                                                  backend)
-        else:
-            indices, bits = [], []
-            drawn = 0
-            chunk_index = 0
-            while drawn < n:
-                chunk = min(batch_size, n - drawn)
-                chunk_seed = (
-                    None if seed is None
-                    else (seed + 0x9E3779B1 * (chunk_index + 1)) % (2 ** 63)
-                )
-                chunk_indices, chunk_bits = self._collect_indices(
-                    chunk, chunk_seed, pool, fuel, backend
-                )
-                indices.extend(chunk_indices)
-                bits.extend(chunk_bits)
-                drawn += chunk
-                chunk_index += 1
-
+        indices, bits = self._collect_indices(n, seed, pool, fuel, backend)
         mapped = self.table.map_payloads(extract)
         values = [
             mapped[i] if i >= 0 else _driver.ENGINE_FAIL for i in indices

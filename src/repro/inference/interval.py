@@ -64,10 +64,6 @@ class Interval:
         """Whether the two intervals share at least one point."""
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both operands."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def outward(self, bits: int) -> "Interval":
         """Round outward to the dyadic grid ``2**-bits``: the lower
         endpoint down, the upper endpoint up.

@@ -62,7 +62,6 @@ def run_row(
     numeric: Callable[[object], float] = float,
     engine: str = "auto",
     narrow: bool = False,
-    profile=None,
 ) -> Row:
     """Sample ``command`` and produce one evaluation-table row.
 
@@ -72,9 +71,7 @@ def run_row(
 
     ``engine`` selects the sampling path: ``"auto"`` (batch engine,
     trampoline fallback), ``"batch"`` (engine, error on failure), or
-    ``"trampoline"`` (the per-sample reference driver).  ``profile``
-    pins a full :class:`~repro.engine.profile.EngineProfile` instead
-    (benchmark sweeps compare profiles row by row).
+    ``"trampoline"`` (the per-sample reference driver).
 
     ``narrow=True`` opts into liveness-driven loop-state narrowing
     (:func:`repro.compiler.liveness.narrow_command`); ``variable`` is
@@ -94,7 +91,6 @@ def run_row(
         engine=engine,
         narrow=narrow,
         observed=(variable,),
-        profile=profile,
     )
     return row_from_samples(result.samples, param, true_pmf, numeric)
 

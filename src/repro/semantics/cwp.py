@@ -50,18 +50,6 @@ def cwp(
     return numerator / denominator
 
 
-def cwp_probability(
-    command: Command,
-    pred: Callable[[State], bool],
-    sigma: State,
-    options: LoopOptions = DEFAULT_OPTIONS,
-) -> ExtReal:
-    """Posterior probability of ``pred`` over terminal states."""
-    from repro.semantics.expectation import indicator
-
-    return cwp(command, indicator(pred), sigma, options)
-
-
 def invariant_sum_check(
     command: Command,
     f: Callable[[State], object],

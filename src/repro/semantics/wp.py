@@ -42,7 +42,6 @@ from repro.lang.syntax import (
 from repro.lang.values import as_bool, as_fraction, as_int
 from repro.semantics.algebra import EXT_REAL
 from repro.semantics.expectation import bounded_expectation, lift_expectation
-from repro.semantics.extreal import ExtReal
 from repro.semantics.fixpoint import DEFAULT_OPTIONS, LoopOptions, solve_loop
 
 
@@ -158,13 +157,3 @@ def _eval(command, f, sigma, alg, flag, liberal, options):
 def wp_value(command, f, sigma, alg, flag, liberal, options) -> object:
     """Low-level entry point used by the verification harness and tests."""
     return _eval(command, f, sigma, alg, flag, liberal, options)
-
-
-def iverson(pred_expr) -> Callable[[State], ExtReal]:
-    """Expectation ``[e]`` for a boolean program expression ``e``."""
-    from repro.semantics import extreal
-
-    def f(sigma: State) -> ExtReal:
-        return extreal.ONE if as_bool(pred_expr.eval(sigma)) else extreal.ZERO
-
-    return f

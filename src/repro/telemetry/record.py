@@ -2,11 +2,11 @@
 
 Every routed sampling run (``collect_auto``, the CLI ``sample``
 command, the benchmark harness) can append one JSON record to a
-telemetry log: program digest, the :class:`~repro.engine.profile.
-EngineProfile` that ran, wall-clock seconds, samples per second, bits
-consumed, which cache tier served the artifact, and -- when a batch
-lowering failed -- the stringified ``LoweringError`` that forced the
-trampoline fallback.
+telemetry log: program digest, the name of the registered
+:class:`~repro.engine.profile.EngineProfile` that ran, wall-clock
+seconds, samples per second, bits consumed, which cache tier served the
+artifact, and -- when a batch lowering failed -- the stringified
+``LoweringError`` that forced the trampoline fallback.
 
 Telemetry is **off by default** and costs one dict check per run when
 off.  Enable it with the ``ZAR_TELEMETRY_DIR`` environment variable or
@@ -37,7 +37,7 @@ TELEMETRY_ENV = "ZAR_TELEMETRY_DIR"
 TELEMETRY_FILENAME = "telemetry.jsonl"
 
 #: Bump when the record schema changes incompatibly.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _configured: Optional[str] = None
 _explicitly_disabled = False
@@ -79,7 +79,7 @@ def telemetry_path() -> Optional[str]:
 
 def make_run_record(
     digest: Optional[str],
-    profile: Optional[Dict[str, object]],
+    profile: str,
     n: int,
     seconds: float,
     engine: str,
@@ -88,22 +88,20 @@ def make_run_record(
     cache_source: Optional[str] = None,
     fallback_reason: Optional[str] = None,
     table_rows: int = 0,
-    kind: str = "collect",
     kernel_cache: Optional[str] = None,
     kernel_compile_ms: Optional[float] = None,
 ) -> Dict[str, object]:
     """Assemble one schema-stable run record (not yet written).
 
+    ``profile`` is the name of the registered profile that ran.
     ``kernel_cache``/``kernel_compile_ms`` describe the native
     backend's kernel resolution (cache tier served, and compile time
     when the C compiler actually ran); both stay ``None`` on every
-    other backend.  The addition is schema-compatible: consumers key on
-    known fields, so no version bump.
+    other backend.
     """
     samples_per_sec = (n / seconds) if seconds > 0 else None
     return {
         "schema": SCHEMA_VERSION,
-        "kind": kind,
         "timestamp": time.time(),
         "digest": digest,
         "profile": profile,

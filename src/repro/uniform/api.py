@@ -107,11 +107,6 @@ class ZarUniform:
         return self._source.count
 
     @property
-    def engine_stats(self):
-        """Node-table statistics of the lowered sampler."""
-        return self._sampler.stats()
-
-    @property
     def pipeline_stats(self):
         """Per-stage statistics of the compilation (see repro.compiler)."""
         return self._compiled.stats

@@ -12,6 +12,16 @@ import pytest
 from repro.cli import CliError, main, parse_initial_state
 from repro.cli.commands import _parse_value
 
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "programs"
+
+#: The subcommands that report outcomes, with flags that keep them quick.
+REPORTERS = {
+    "sample": ["-n", "50", "--seed", "1"],
+    "infer": ["--budget", "200"],
+    "bounds": ["--width-bits", "8"],
+    "mcmc": ["-n", "50", "--burn-in", "5", "--seed", "1"],
+}
+
 
 @pytest.fixture()
 def programs_dir(tmp_path):
@@ -118,6 +128,23 @@ class TestSample:
         )
         assert code == 0
         assert "42" in text
+
+    def test_backend_reports_its_registered_profile(self, programs_dir):
+        code, text = run_cli(
+            "sample", str(programs_dir / "die.gcl"),
+            "--backend", "python", "--seed", "1",
+        )
+        assert code == 0
+        assert "profile:   batch-python (batch/python)\n" in text
+
+    def test_profile_flag_is_gone(self, programs_dir, capsys):
+        # Each former --profile value is --engine trampoline or
+        # --backend X.
+        with pytest.raises(SystemExit) as exited:
+            run_cli("sample", str(programs_dir / "die.gcl"),
+                    "--profile", "native")
+        assert exited.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
 
 class TestInfer:
@@ -226,6 +253,52 @@ class TestMcmc:
         )
         assert code == 1
         assert text.startswith("error: %s " % flag)
+
+
+class TestReportFlags:
+    @pytest.mark.parametrize("command", sorted(REPORTERS))
+    def test_rejects_negative_top(self, programs_dir, command):
+        code, text = run_cli(command, str(programs_dir / "die.gcl"),
+                             "--top", "-1", *REPORTERS[command])
+        assert code == 1
+        assert text == "error: --top must be nonnegative\n"
+
+    @pytest.mark.parametrize("command", sorted(REPORTERS))
+    def test_rejects_unknown_var(self, programs_dir, command):
+        # An unbound variable reads as 0: reporting it would show a
+        # point mass at 0.
+        code, text = run_cli(command, str(programs_dir / "die.gcl"),
+                             "--var", "nosuch", *REPORTERS[command])
+        assert code == 1
+        assert text.startswith("error: --var 'nosuch' ")
+
+    def test_rejects_unknown_observed(self, programs_dir):
+        code, text = run_cli("bounds", str(programs_dir / "die.gcl"),
+                             "--observed", "x,nosuch")
+        assert code == 1
+        assert text.startswith("error: --observed 'nosuch' ")
+
+    @pytest.mark.parametrize("command", sorted(REPORTERS))
+    def test_init_binding_is_a_known_name(self, programs_dir, command):
+        code, text = run_cli(command, str(programs_dir / "die.gcl"),
+                             "--var", "q", "--init", "q=3",
+                             *REPORTERS[command])
+        assert code == 0, text
+        assert "error" not in text
+
+    @pytest.mark.parametrize("command,marker", [
+        ("sample", "mean h:"),
+        ("infer", "P(h=2) in ["),
+        ("bounds", "P(h=2) in ["),
+        ("mcmc", "ESS(h):"),
+    ])
+    def test_variable_read_before_assignment_is_known(self, command,
+                                                      marker):
+        # geometric.gcl only ever reads h in ``h := h + 1``.
+        code, text = run_cli(command, str(EXAMPLES / "geometric.gcl"),
+                             "--var", "h", *REPORTERS[command])
+        assert code == 0, text
+        assert marker in text
 
 
 class TestEntryPoint:

@@ -108,8 +108,10 @@ class TestSequentialDriver:
 
 class TestExplicitSource:
     """``collect(source=...)`` runs the pooled Python driver over the
-    source one bit at a time: chunking never changes the stream, and a
-    finite source runs out exactly where the one-sample walker's does."""
+    source one bit at a time: it reads the one-sample walker's stream,
+    splitting a draw into several collects over the same source never
+    changes it, and a finite source runs out exactly where the walker's
+    does."""
 
     PREFIX = [bool(bit) for bit in random.Random(5).choices((0, 1), k=600)]
 
@@ -122,19 +124,28 @@ class TestExplicitSource:
             bits.append(source.consumed - before)
         return values, bits
 
+    @staticmethod
+    def _chunked(sampler, n, batch_size, source, fuel):
+        """``n`` samples as consecutive collects of at most
+        ``batch_size`` over one shared source."""
+        values, bits = [], []
+        while len(values) < n:
+            part = sampler.collect(min(batch_size, n - len(values)),
+                                   source=source, fuel=fuel)
+            values += part.values
+            bits += part.bits
+        return values, bits
+
     @pytest.mark.parametrize("fuel", [None, 500])
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
     def test_chunking_keeps_the_stream(self, batch_size, fuel):
         sampler = BatchSampler.from_command(n_sided_die(6))
         n = 60
         whole = sampler.collect(n, source=ReplayBits(self.PREFIX), fuel=fuel)
-        chunked = sampler.collect(
-            n, source=ReplayBits(self.PREFIX), fuel=fuel,
-            batch_size=batch_size,
-        )
-        values, bits = self._stepped(sampler, n, fuel)
-        assert chunked.values == whole.values == values
-        assert chunked.bits == whole.bits == bits
+        chunked = self._chunked(sampler, n, batch_size,
+                                ReplayBits(self.PREFIX), fuel)
+        stepped = self._stepped(sampler, n, fuel)
+        assert chunked == (whole.values, whole.bits) == stepped
 
     @pytest.mark.parametrize("batch_size", [None, 7])
     def test_exhaustion_at_the_walker_position(self, batch_size):
@@ -146,7 +157,10 @@ class TestExplicitSource:
                 sampler.sample(walker)
         collected = ReplayBits(prefix)
         with pytest.raises(BitsExhausted):
-            sampler.collect(1000, source=collected, batch_size=batch_size)
+            if batch_size is None:
+                sampler.collect(1000, source=collected)
+            else:
+                self._chunked(sampler, 1000, batch_size, collected, None)
         assert collected.consumed == walker.consumed
 
     def test_source_wins_over_the_requested_backend(self):

@@ -57,7 +57,7 @@ from repro.engine.native import (
     reset_kernel_runtime,
 )
 from repro.engine.pool import HAVE_NUMPY
-from repro.engine.profile import profile_named
+from repro.engine.profile import PROFILES
 from repro.lang.expr import Var
 from repro.lang.sugar import (
     dueling_coins,
@@ -135,7 +135,7 @@ class TestDifferential:
     ):
         native = _stream(command, n, seed, "native", extract)
         assert native == _stream(command, n, seed, "python", extract)
-        sampler = BatchSampler.from_profile(command)
+        sampler = BatchSampler.from_command(command)
         assert native == _walked(sampler, n, seed, extract)
 
     def test_open_table_downgrade_is_observable(self):
@@ -371,7 +371,7 @@ class TestDegraded:
             command, 200, 13, "python"
         )
         assert (result.samples.values, result.samples.bits) == _walked(
-            BatchSampler.from_profile(command), 200, 13
+            BatchSampler.from_command(command), 200, 13
         )
 
     def test_disabled_env_keeps_auto_off_native(self, monkeypatch):
@@ -528,7 +528,7 @@ class TestSeams:
     def test_native_profile_runs_the_kernel(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ZAR_NATIVE_CACHE_DIR", str(tmp_path))
         reset_kernel_runtime()
-        profile = profile_named("native")
+        profile = PROFILES["native"]
         result = collect_auto(
             n_sided_die(6), 200, seed=3, profile=profile,
             extract=lambda s: s["x"],
@@ -542,9 +542,9 @@ class TestSeams:
         reset_kernel_runtime()
         configure_telemetry(str(tmp_path / "tel"))
         collect_auto(n_sided_die(6), 50, seed=3,
-                     profile=profile_named("native"))
+                     profile=PROFILES["native"])
         collect_auto(n_sided_die(6), 50, seed=3,
-                     profile=profile_named("native"))
+                     profile=PROFILES["native"])
         first, second = read_records()
         assert first["backend"] == "native"
         assert first["kernel_cache"] == "compiled"
@@ -555,7 +555,7 @@ class TestSeams:
     def test_telemetry_records_fallback(self, tmp_path):
         configure_telemetry(str(tmp_path))
         collect_auto(geometric_primes(Fraction(1, 2)), 40, seed=3,
-                     profile=profile_named("native"))
+                     profile=PROFILES["native"])
         [record] = read_records()
         assert record["fallback_reason"].startswith("native-unavailable:")
         assert record["kernel_cache"] is None

@@ -1,14 +1,15 @@
-"""The EngineProfile seam: differential bit-exactness, serialization,
+"""The EngineProfile seam: differential bit-exactness, resolution,
 telemetry, validation errors, fallback observability, and the
 ``engine="auto"`` rule.
 
-The refactor's contract is that extracting engine selection into
-:class:`repro.engine.profile.EngineProfile` changed *nothing* about
-what is sampled:
+A profile names an ``(engine, backend)`` pair, and ``collect_auto``
+resolves every run to one registered profile.  Choosing one changes
+*nothing* about what is sampled:
 
 - every registered profile, pinned explicitly through ``collect_auto``,
-  is bit-for-bit identical to the equivalent pre-profile kwargs
-  (``engine=``/``backend=``) at the same seed;
+  is bit-for-bit identical to the equivalent kwargs
+  (``engine=``/``backend=``) at the same seed, and both report the
+  same registered profile;
 - the ``batch-python`` profile fed an explicit bit source is
   bit-for-bit identical to the reference trampoline on that source
   (the cross-engine anchor the differential suite pins per-sample; here
@@ -18,11 +19,10 @@ what is sampled:
   program's features: ``native`` on closed tables where a kernel can
   be built, else numpy, else pure Python.
 
-On top of that, the seam must be *observable*: profiles serialize
-losslessly into telemetry JSONL records, silent batch-to-trampoline
-downgrades surface as ``CollectResult.fallback_reason``, and unknown
-engines/backends/profiles fail loudly with the valid set in the
-message.
+On top of that, the seam must be *observable*: telemetry JSONL records
+name the registered profile that ran, batch-to-trampoline downgrades
+surface as ``CollectResult.fallback_reason``, and unknown
+engines/backends fail loudly with the valid set in the message.
 """
 
 import json
@@ -31,6 +31,7 @@ from fractions import Fraction
 import pytest
 
 from repro.compiler import cache as compiler_cache
+from repro.compiler import pipeline as compiler_pipeline
 from repro.compiler.pipeline import compile_program
 from repro.engine import BatchSampler, BitPool, collect_auto
 from repro.engine.native import native_available
@@ -38,8 +39,6 @@ from repro.engine.profile import (
     PROFILES,
     EngineProfile,
     features_of,
-    profile_from_dict,
-    profile_named,
     static_profile,
     validate_profile,
 )
@@ -69,12 +68,22 @@ HEAVY_PROGRAMS = [
     ("hare_tortoise", hare_tortoise(Var("time") <= 10), 10),
 ]
 
-#: (profile name, equivalent pre-profile collect_auto kwargs).
+#: (profile name, equivalent collect_auto kwargs).
 EQUIVALENT_KWARGS = [
     ("trampoline", {"engine": "trampoline"}),
     ("batch-python", {"backend": "python"}),
     ("batch-numpy", {"backend": "numpy"}),
+    ("batch-auto", {"engine": "batch"}),
+    ("native", {"backend": "native"}),
 ]
+
+#: The registered profile each ``backend=`` kwarg resolves to.
+BACKEND_PROFILES = {
+    "auto": "batch-auto",
+    "native": "native",
+    "numpy": "batch-numpy",
+    "python": "batch-python",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -105,14 +114,16 @@ class TestDifferentialBitExactness:
         if profile_name == "batch-numpy" and not HAVE_NUMPY:
             pytest.skip("numpy backend unavailable")
         pinned = collect_auto(
-            command, n, seed=23, profile=profile_named(profile_name)
+            command, n, seed=23, profile=PROFILES[profile_name]
         )
         loose = collect_auto(command, n, seed=23, **kwargs)
         _assert_same_samples(
             pinned.samples, loose.samples, "%s/%s" % (name, profile_name)
         )
-        assert pinned.profile.name == profile_name
-        assert pinned.fallback_reason is None
+        assert pinned.profile is loose.profile is PROFILES[profile_name]
+        assert pinned.fallback_reason == loose.fallback_reason
+        if profile_name != "native":  # native downgrades on open tables
+            assert pinned.fallback_reason is None
 
     @pytest.mark.parametrize(
         "name,command,n", PROGRAMS, ids=[p[0] for p in PROGRAMS]
@@ -123,9 +134,7 @@ class TestDifferentialBitExactness:
         reference = collect(
             cpgcl_to_itree(command, S0), n, source=BitPool(5)
         )
-        sampler = BatchSampler.from_profile(
-            command, profile=profile_named("batch-python")
-        )
+        sampler = BatchSampler.from_command(command)
         engine = sampler.collect(n, source=BitPool(5))
         _assert_same_samples(reference, engine, name)
 
@@ -152,20 +161,30 @@ class TestDifferentialBitExactness:
         _assert_same_samples(auto.samples, pinned.samples, name)
 
 
+class TestResolution:
+    @pytest.mark.parametrize("backend", sorted(BACKEND_PROFILES))
+    def test_backend_kwarg_reports_its_registered_profile(
+        self, tmp_path, backend
+    ):
+        if backend == "numpy" and not HAVE_NUMPY:
+            pytest.skip("numpy backend unavailable")
+        configure_telemetry(str(tmp_path))
+        result = collect_auto(n_sided_die(6), 40, seed=5, backend=backend)
+        expected = PROFILES[BACKEND_PROFILES[backend]]
+        assert result.profile is expected
+        [record] = read_records()
+        assert record["schema"] == 3
+        assert record["profile"] == expected.name
+        assert record["backend"] == backend
+
+    def test_profiles_are_engine_backend_pairs(self):
+        assert EngineProfile._fields == ("name", "engine", "backend")
+        for name, profile in PROFILES.items():
+            assert profile.name == name
+            assert validate_profile(profile) is profile
+
+
 class TestSerializationAndTelemetry:
-    def test_profile_dict_roundtrip(self):
-        for profile in PROFILES.values():
-            assert profile_from_dict(profile.as_dict()) == profile
-
-    def test_custom_profile_roundtrip_preserves_knobs(self):
-        profile = EngineProfile(
-            name="weird", backend="python", batch_size=64,
-            passes=("debias",), narrow=True, fuel=99, max_nodes=123,
-        )
-        clone = profile_from_dict(profile.as_dict())
-        assert clone == profile
-        assert isinstance(clone.passes, tuple)
-
     def test_run_record_serializes_profile(self, tmp_path):
         configure_telemetry(str(tmp_path))
         result = collect_auto(n_sided_die(6), 50, seed=3)
@@ -173,14 +192,16 @@ class TestSerializationAndTelemetry:
         assert telemetry_path() == str(tmp_path / "telemetry.jsonl")
         assert len(records) == 1
         record = records[0]
-        assert record["schema"] == 2
+        assert record["schema"] == 3
         assert record["engine"] == "batch"
         assert record["n"] == 50
         assert record["digest"], "run record must carry the program digest"
         assert record["fallback_reason"] is None
         assert "feature_bucket" not in record
+        assert "kind" not in record
         assert record["samples_per_sec"] is None or record["samples_per_sec"] > 0
-        assert profile_from_dict(record["profile"]) == result.profile
+        assert record["profile"] == result.profile.name
+        assert PROFILES[record["profile"]] is result.profile
 
     def test_telemetry_appends_jsonl_lines(self, tmp_path):
         configure_telemetry(str(tmp_path))
@@ -230,7 +251,7 @@ class TestValidationErrors:
 
     def test_cli_rejects_sequential_backend(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.engine.api import BACKENDS
+        from repro.engine.profile import BACKENDS
 
         program = tmp_path / "die.gcl"
         program.write_text("m <~ uniform(6);\n")
@@ -243,85 +264,66 @@ class TestValidationErrors:
         for name in BACKENDS:
             assert name in listed
 
-    def test_unknown_profile_name_lists_registry(self):
-        with pytest.raises(ValueError, match=r"batch-numpy.*trampoline"):
-            profile_named("hyperspeed")
-
     def test_bad_profile_engine_rejected(self):
         with pytest.raises(ValueError, match=r"batch, trampoline"):
             validate_profile(EngineProfile(engine="auto"))
 
-    def test_bad_profile_knobs_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            validate_profile(EngineProfile(batch_size=0))
-        with pytest.raises(ValueError, match="max_nodes"):
-            validate_profile(EngineProfile(max_nodes=0))
+
+@pytest.fixture()
+def tiny_pipeline(monkeypatch):
+    """Shrink the default pipeline's node budget so lowering the open
+    geometric program overflows."""
+    monkeypatch.setattr(
+        compiler_pipeline, "_DEFAULT",
+        compiler_pipeline.Pipeline(max_nodes=8, use_cache=False),
+    )
 
 
 class TestFallbackObservability:
-    def _tiny_auto_profile(self):
-        return PROFILES["batch-auto"]._replace(max_nodes=8)
-
-    def test_auto_fallback_reason_is_recorded(self, tmp_path):
-        # Shrink the auto path's node budget so lowering the open
-        # geometric program overflows: engine="auto" must downgrade to
-        # the trampoline and say why.
-        original = PROFILES["batch-auto"]
-        PROFILES["batch-auto"] = self._tiny_auto_profile()
-        try:
-            configure_telemetry(str(tmp_path))
-            result = collect_auto(
-                geometric_primes(Fraction(1, 2)), 30, seed=11
-            )
-        finally:
-            PROFILES["batch-auto"] = original
-            configure_telemetry(None)
+    def test_auto_fallback_reason_is_recorded(self, tmp_path, tiny_pipeline):
+        # engine="auto" must downgrade to the trampoline and say why.
+        configure_telemetry(str(tmp_path))
+        result = collect_auto(geometric_primes(Fraction(1, 2)), 30, seed=11)
         assert result.engine == "trampoline"
+        assert result.profile is PROFILES["trampoline"]
         assert result.fallback_reason, "downgrade must carry its reason"
         assert result.samples.values, "fallback still samples"
         [record] = read_records(str(tmp_path / "telemetry.jsonl"))
         assert record["fallback_reason"] == result.fallback_reason
+        assert record["profile"] == "trampoline"
 
-    def test_explicit_batch_engine_raises_instead(self):
-        from repro.engine.table import LoweringError
-
-        original = PROFILES["batch-auto"]
-        PROFILES["batch-auto"] = self._tiny_auto_profile()
-        try:
-            with pytest.raises(LoweringError):
-                collect_auto(
-                    geometric_primes(Fraction(1, 2)), 30, seed=11,
-                    engine="batch",
-                )
-        finally:
-            PROFILES["batch-auto"] = original
-
-    def test_explicit_tiny_profile_raises(self):
+    def test_explicit_batch_engine_raises_instead(self, tiny_pipeline):
         from repro.engine.table import LoweringError
 
         with pytest.raises(LoweringError):
             collect_auto(
                 geometric_primes(Fraction(1, 2)), 30, seed=11,
-                profile=self._tiny_auto_profile(),
+                engine="batch",
+            )
+
+    def test_explicit_tiny_profile_raises(self, tiny_pipeline):
+        # A pinned batch profile is a manual choice: no fallback.
+        from repro.engine.table import LoweringError
+
+        with pytest.raises(LoweringError):
+            collect_auto(
+                geometric_primes(Fraction(1, 2)), 30, seed=11,
+                profile=PROFILES["batch-auto"],
             )
 
     def test_backend_kwarg_override_is_reported(self, tmp_path):
-        # A kwarg-level backend override must show up in the reported
-        # profile and the telemetry record -- the run should never be
-        # attributed to the base profile's backend.
-        override = "python" if static_profile().backend != "python" \
-            else "native"
+        # A backend kwarg overrides a pinned profile's backend, and the
+        # run is reported as that backend's registered profile -- never
+        # attributed to the pinned profile's backend.
         configure_telemetry(str(tmp_path))
-        try:
-            result = collect_auto(
-                n_sided_die(6), 40, seed=5, backend=override
-            )
-        finally:
-            configure_telemetry(None)
-        assert result.profile.backend == override
-        assert result.profile.name.endswith("+" + override)
+        result = collect_auto(
+            n_sided_die(6), 40, seed=5, profile=PROFILES["batch-numpy"],
+            backend="python",
+        )
+        assert result.profile is PROFILES["batch-python"]
         [record] = read_records(str(tmp_path / "telemetry.jsonl"))
-        assert record["backend"] == override
+        assert record["profile"] == "batch-python"
+        assert record["backend"] == "python"
 
 
 _POOLED_DEFAULT = "batch-numpy" if HAVE_NUMPY else "batch-python"
@@ -342,7 +344,7 @@ class TestAutoRule:
         assert auto.profile.name == "native"
         assert auto.fallback_reason is None
         python = collect_auto(command, n, seed=37,
-                              profile=profile_named("batch-python"))
+                              profile=PROFILES["batch-python"])
         _assert_same_samples(auto.samples, python.samples, name)
 
     def test_open_table_takes_pooled_default(self):

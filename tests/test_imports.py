@@ -91,6 +91,11 @@ def _program(name):
     return str(PROGRAMS / name)
 
 
+#: The batch engine's modules: only ``sample`` and ``compile`` run them.
+BATCH_ENGINE = ("repro.engine.api", "repro.engine.driver",
+                "repro.engine.table", "repro.engine.pool")
+
+
 class TestImportBudget:
     @pytest.mark.parametrize("statement",
                              ["import repro", "import repro.cli.main"])
@@ -114,6 +119,26 @@ class TestImportBudget:
         assert code == 0
         assert "numpy" not in modules
         assert "networkx" not in modules
+
+    @pytest.mark.parametrize("args", [
+        [],
+        ["lint", "die.gcl"],
+        ["bounds", "die.gcl"],
+        ["infer", "geometric.gcl"],
+        ["check", "die.gcl"],
+        ["pretty", "die.gcl"],
+        ["mcmc", "die.gcl", "-n", "50"],
+    ], ids=lambda args: " ".join(args) or "import repro.cli.main")
+    def test_batch_engine_stays_unloaded(self, tmp_path, args):
+        if args:
+            code, _out, modules = _run(
+                [args[0], _program(args[1])] + args[2:], tmp_path)
+            assert code == 0
+        else:
+            code = "import repro.cli.main, json, sys\n" \
+                   "print(json.dumps(list(sys.modules)))"
+            modules = set(json.loads(_child(code, [], _env(tmp_path))))
+        assert not modules & set(BATCH_ENGINE)
 
     @pytest.mark.skipif(not native_available(), reason="no C compiler")
     def test_native_sample_loads_only_the_sampler(self, tmp_path):
