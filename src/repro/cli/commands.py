@@ -82,6 +82,19 @@ def _check_report_flags(args, program: Command, sigma: State,
                            "by --init" % (flag, name))
 
 
+def _top_marginal(marginal, top: int):
+    """The ``top`` values of ``marginal`` with the largest upper bound,
+    as ``(value, bounds)`` rows in value order."""
+    try:
+        ordered = sorted(marginal)
+    except TypeError:  # mixed-type support: fall back to repr order
+        ordered = sorted(marginal, key=repr)
+    # A stable sort: among equal upper bounds the earlier value stays.
+    kept = set(sorted(ordered, key=lambda value: marginal[value].hi,
+                      reverse=True)[:top])
+    return [(value, marginal[value]) for value in ordered if value in kept]
+
+
 def cmd_check(args, out: TextIO) -> int:
     """``zar check``: parse -> typecheck -> lint.
 
@@ -377,13 +390,8 @@ def cmd_infer(args, out: TextIO) -> int:
           % (posterior.account.expansions, _fmt_frac(posterior.slack)),
           file=out)
     if args.var is not None:
-        marginal = posterior.marginal(args.var)
-        try:
-            ordered = sorted(marginal)
-        except TypeError:  # mixed-type support: fall back to repr order
-            ordered = sorted(marginal, key=repr)
-        for value in ordered:
-            bounds = marginal[value]
+        for value, bounds in _top_marginal(posterior.marginal(args.var),
+                                           args.top):
             print("P(%s=%s) in [%.6g, %.6g]"
                   % (args.var, value, bounds.lo, bounds.hi), file=out)
     else:
@@ -423,12 +431,7 @@ def cmd_bounds(args, out: TextIO) -> int:
     def marginal_rows():
         if args.var is None:
             return None
-        marginal = posterior.marginal(args.var)
-        try:
-            ordered = sorted(marginal)
-        except TypeError:  # mixed-type support: fall back to repr order
-            ordered = sorted(marginal, key=repr)
-        return [(value, marginal[value]) for value in ordered]
+        return _top_marginal(posterior.marginal(args.var), args.top)
 
     if args.format == "json":
         payload = {

@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 from repro.bits.source import BitSource
 from repro.engine import pool as _pool
 from repro.engine.table import (
+    ENGINE_FAIL,
     NodeTable,
     OP_BIT,
     OP_CALL,
@@ -39,23 +40,6 @@ from repro.engine.table import (
     OP_STUB,
 )
 from repro.sampler.run import FuelExhausted
-
-
-class EngineFail:
-    """Sentinel for observation failure in untied (open) runs."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ENGINE_FAIL"
-
-
-ENGINE_FAIL = EngineFail()
 
 
 @contextmanager

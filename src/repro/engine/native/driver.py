@@ -170,11 +170,12 @@ def kernel_status(table) -> str:
     if kernel is None:
         return "unavailable (%s)" % reason
     digest = str(info.get("digest", ""))[:12]
+    steps = "%d-bit steps" % kernel.kernel.step_bits
     if info.get("tier") == "compiled":
-        return "compiled (%.1f ms, key %s)" % (
-            info.get("compile_ms") or 0.0, digest,
+        return "compiled (%.1f ms, key %s, %s)" % (
+            info.get("compile_ms") or 0.0, digest, steps,
         )
-    return "cached (%s, key %s)" % (info.get("tier"), digest)
+    return "cached (%s, key %s, %s)" % (info.get("tier"), digest, steps)
 
 
 def collect_kernel(

@@ -18,12 +18,16 @@ Cache key anatomy -- three independent invalidation axes:
   ``zk-<digest>-<fingerprint>.so`` so a toolchain upgrade recompiles
   instead of loading ABI-stale objects;
 - a **load-time self-check**: every object exports ``zar_digest()`` /
-  ``zar_codegen_version()``, verified after ``dlopen``.  A corrupted or
-  truncated cache entry fails the check (or the ``dlopen`` itself), is
-  unlinked, and is recompiled from source -- never executed.
+  ``zar_codegen_version()`` / ``zar_step_bits()``, verified after
+  ``dlopen`` (the step width against :func:`~repro.engine.native.
+  codegen.step_bits` of the table's rows).  A corrupted or truncated
+  cache entry fails the check (or the ``dlopen`` itself), is unlinked,
+  and is recompiled from source -- never executed.
 
-Loading binds the object's four exported symbols with :mod:`ctypes`
-(no third-party FFI), passing the ``array`` buffers by address.
+Loading binds the object's six exported symbols with :mod:`ctypes`
+(no third-party FFI), passing the ``array`` buffers by address, and
+runs ``zar_init()`` (which fills the kernel's window table) after the
+checks and before the kernel is returned or memory-cached.
 ``native_available()`` is the cheap gate the engine seams consult: it
 requires a C compiler on ``PATH`` (or ``ZAR_NATIVE_CC``) and
 ``ZAR_NATIVE_DISABLE`` unset.
@@ -44,6 +48,7 @@ from repro.engine.native.codegen import (
     EncodedTable,
     encoded_digest,
     render_c,
+    step_bits,
 )
 
 __all__ = [
@@ -203,25 +208,34 @@ class NativeKernel:
         self.digest = digest
         self.payloads = payloads
         self.rows = int(lib.zar_rows())
+        self.step_bits = int(lib.zar_step_bits())
 
     def collect_call(self, bits: bytes, total_bits: int, done: int, n: int,
                      out_idx, out_bits, state, payload_map,
                      tied: bool) -> int:
-        """One ``zar_collect`` call; the ``array`` buffers pass by address."""
-        return int(
-            self._lib.zar_collect(
-                bits, total_bits, done, n,
-                out_idx.buffer_info()[0],
-                out_bits.buffer_info()[0],
-                state.buffer_info()[0],
-                payload_map.buffer_info()[0],
-                1 if tied else 0,
-            )
+        """One ``zar_collect`` call; the ``array`` buffers pass by address.
+
+        Raises :class:`KernelCacheError` when the kernel refuses to run
+        because its window table was never filled (``zar_init``).
+        """
+        done = self._lib.zar_collect(
+            bits, total_bits, done, n,
+            out_idx.buffer_info()[0],
+            out_bits.buffer_info()[0],
+            state.buffer_info()[0],
+            payload_map.buffer_info()[0],
+            1 if tied else 0,
         )
+        if done < 0:
+            raise KernelCacheError(
+                "kernel %s refused to run: zar_init never filled its "
+                "window table" % self.digest[:12]
+            )
+        return done
 
 
 def _open_library(path: str) -> ctypes.CDLL:
-    """dlopen ``path`` and declare the kernel ABI's four symbols."""
+    """dlopen ``path`` and declare the kernel ABI's six symbols."""
     lib = ctypes.CDLL(path)
     lib.zar_digest.restype = ctypes.c_char_p
     lib.zar_digest.argtypes = []
@@ -229,6 +243,10 @@ def _open_library(path: str) -> ctypes.CDLL:
     lib.zar_codegen_version.argtypes = []
     lib.zar_rows.restype = ctypes.c_int64
     lib.zar_rows.argtypes = []
+    lib.zar_step_bits.restype = ctypes.c_int32
+    lib.zar_step_bits.argtypes = []
+    lib.zar_init.restype = None
+    lib.zar_init.argtypes = []
     lib.zar_collect.restype = ctypes.c_int64
     lib.zar_collect.argtypes = [
         ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
@@ -257,12 +275,15 @@ def _snapshot_for_load(path: str) -> str:
     return snapshot
 
 
-def _load_validated(path: str, digest: str, payloads: int) -> NativeKernel:
-    """dlopen + self-check; any failure is a :class:`KernelCacheError`."""
+def _load_validated(path: str, digest: str, payloads: int,
+                    step: int) -> NativeKernel:
+    """dlopen + self-check + ``zar_init``; any failure is a
+    :class:`KernelCacheError`."""
     try:
         lib = _open_library(_snapshot_for_load(path))
         found_version = int(lib.zar_codegen_version())
         found_digest = lib.zar_digest().decode()
+        found_step = int(lib.zar_step_bits())
     except Exception as err:  # dlopen/symbol errors vary wildly by libc
         raise KernelCacheError("kernel object unloadable: %s" % err)
     if found_version != CODEGEN_VERSION:
@@ -274,6 +295,11 @@ def _load_validated(path: str, digest: str, payloads: int) -> NativeKernel:
         raise KernelCacheError(
             "kernel digest mismatch (%s != %s)" % (found_digest, digest)
         )
+    if found_step != step:
+        raise KernelCacheError(
+            "kernel step width %d != expected %d" % (found_step, step)
+        )
+    lib.zar_init()
     return NativeKernel(lib, digest, payloads)
 
 
@@ -305,11 +331,11 @@ def _compile(c_path: str, so_path: str) -> None:
     os.close(fd)
     _INVOCATIONS += 1
     try:
-        # -funroll-loops roughly halves the walk time over plain -O2:
-        # the unrolled inner loop pipelines the byte loads across bits.
+        # Plain -O2: GCC 12 emits the same window loop with or without
+        # -funroll-loops (the one-bit walk's loop was the one it
+        # unrolled), so the flag would only lengthen the compile.
         proc = subprocess.run(
-            [cc, "-O2", "-funroll-loops", "-fPIC", "-shared", "-o", tmp,
-             c_path],
+            [cc, "-O2", "-fPIC", "-shared", "-o", tmp, c_path],
             capture_output=True,
             timeout=COMPILE_TIMEOUT,
         )
@@ -364,6 +390,7 @@ def build_kernel(
     # kernel can never index past the map the driver passes it.
     low = -(len(encoded.payload_map) + 1)
     rows = len(encoded.a)
+    step = step_bits(rows)
     for values in (encoded.a, encoded.b, (encoded.root,)):
         for code in values:
             if not low <= code < rows:
@@ -378,7 +405,9 @@ def build_kernel(
 
     if os.path.exists(so_path):
         try:
-            kernel = _load_validated(so_path, digest, len(encoded.payload_map))
+            kernel = _load_validated(
+                so_path, digest, len(encoded.payload_map), step
+            )
         except KernelCacheError:
             # Corrupt/stale entry: drop it and fall through to a fresh
             # compile -- never execute a kernel that failed validation.
@@ -396,7 +425,9 @@ def build_kernel(
     try:
         _write_source(c_path, source)
         _compile(c_path, so_path)
-        kernel = _load_validated(so_path, digest, len(encoded.payload_map))
+        kernel = _load_validated(
+            so_path, digest, len(encoded.payload_map), step
+        )
     except (KernelCompileError, KernelCacheError, OSError) as err:
         _FAILED[so_path] = (type(err), str(err))
         raise

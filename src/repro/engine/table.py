@@ -54,6 +54,23 @@ OP_CALL = 5
 OP_NAMES = ("BIT", "LEAF", "FAIL", "JMP", "STUB", "CALL")
 
 
+class EngineFail:
+    """Sentinel for observation failure in untied (open) runs."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "ENGINE_FAIL"
+
+
+ENGINE_FAIL = EngineFail()
+
+
 class LoweringError(ValueError):
     """The tree cannot be lowered (e.g. a biased choice survived)."""
 
@@ -236,7 +253,8 @@ class NodeTable:
         self._scan_unkeyed: List[Fix] = []
         self._orphan_scanned: set = set()
         self.needs_rebind = False
-        # (version, extract, mapped payloads) of the last map_payloads.
+        # (version, extract, mapped payloads + [ENGINE_FAIL]) of the
+        # last map_payloads.
         self._mapped: Optional[Tuple[int, object, List[object]]] = None
         self.expansions = 0
         self.dedup_hits = 0
@@ -875,6 +893,10 @@ class NodeTable:
     def map_payloads(self, extract: Optional[Callable[[object], object]]):
         """Apply ``extract`` once per distinct payload (not per sample).
 
+        The list ends with :data:`ENGINE_FAIL`, so the drivers' failure
+        index ``-1`` reads the sentinel and a sample list is
+        ``[mapped[i] for i in indices]``, tied or untied.
+
         The mapped list is remembered per ``(version, extract)``, with
         ``extract`` compared by identity: a repeat call with the same
         ``extract`` object on an unchanged table returns the same list
@@ -890,6 +912,7 @@ class NodeTable:
             mapped = list(self.payloads)
         else:
             mapped = [extract(value) for value in self.payloads]
+        mapped.append(ENGINE_FAIL)
         # The memo holds ``extract`` itself, so its identity is stable.
         self._mapped = (self.version, extract, mapped)
         return mapped

@@ -92,6 +92,19 @@ class TestCompile:
         assert features.split()[-1] == "closed"
         assert "-- static rule" in text
 
+    def test_native_line_names_the_step_width(self, programs_dir):
+        from repro.engine.native import native_available
+
+        code, text = run_cli("compile", str(programs_dir / "die.gcl"))
+        assert code == 0
+        native = next(line for line in text.splitlines()
+                      if "native:" in line)
+        if native_available():
+            # die.gcl's six bit rows walk in 8-bit windows.
+            assert native.endswith(", 8-bit steps)")
+        else:
+            assert "unavailable (" in native
+
     def test_debias_stage_label(self, programs_dir):
         code, text = run_cli(
             "compile", str(programs_dir / "die.gcl"), "--debias"
@@ -285,6 +298,47 @@ class TestReportFlags:
                              *REPORTERS[command])
         assert code == 0, text
         assert "error" not in text
+
+    @pytest.mark.parametrize("command", ["infer", "bounds"])
+    def test_top_keeps_the_likeliest_marginal_values(self, tmp_path,
+                                                     command):
+        # x is -1 with probability 1/3 and 0 with 2/3: --top 1 keeps 0,
+        # --top 2 lists both in value order.
+        source = tmp_path / "square.gcl"
+        source.write_text("m <~ uniform(3);\nx := m * m - 2 * m;\n")
+
+        def listed(*top):
+            code, text = run_cli(command, str(source), "--var", "x", *top,
+                                 *REPORTERS[command])
+            assert code == 0, text
+            return [line.split(")")[0] for line in text.splitlines()
+                    if line.startswith("P(")]
+
+        assert listed("--top", "1") == ["P(x=0"]
+        assert listed("--top", "2") == ["P(x=-1", "P(x=0"]
+        assert listed("--top", "0") == []
+
+    def test_marginal_stops_at_the_default_top(self):
+        # geometric.gcl's h ranges over every prime; the listing stops
+        # at --top's default of 10, the likeliest first primes.
+        code, text = run_cli("infer", str(EXAMPLES / "geometric.gcl"),
+                             "--var", "h", *REPORTERS["infer"])
+        assert code == 0, text
+        rows = [line for line in text.splitlines() if line.startswith("P(")]
+        assert len(rows) == 10
+        assert rows[0].startswith("P(h=2) in [")
+        assert rows[-1].startswith("P(h=29) in [")
+
+    def test_bounds_json_marginal_honours_top(self, tmp_path):
+        import json
+
+        source = tmp_path / "square.gcl"
+        source.write_text("m <~ uniform(3);\nx := m * m - 2 * m;\n")
+        code, text = run_cli("bounds", str(source), "--var", "x",
+                             "--top", "1", "--format", "json")
+        assert code == 0, text
+        pmf = json.loads(text)["marginal"]["pmf"]
+        assert [row["value"] for row in pmf] == ["0"]
 
     @pytest.mark.parametrize("command,marker", [
         ("sample", "mean h:"),

@@ -31,22 +31,29 @@ The contract under test, in order of importance:
 """
 
 import os
+import random
 import subprocess
 import sys
+import textwrap
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from repro.bits.source import CountingBits
+from repro.bits.source import CountingBits, ReplayBits
 from repro.compiler.cache import CompilationCache
 from repro.compiler.liveness import narrow_command
 from repro.compiler.pipeline import Pipeline
-from repro.engine import BatchSampler, BitPool, collect_auto
+from repro.engine import ENGINE_FAIL, BatchSampler, BitPool, collect_auto
+from repro.engine.driver import collect_python
+from repro.engine.native import codegen as _codegen
 from repro.engine.native import (
+    KernelCacheError,
     KernelUnsupported,
     build_kernel,
     collect_kernel,
+    compiler_fingerprint,
     compiler_invocations,
     encode_table,
     encoded_digest,
@@ -59,6 +66,7 @@ from repro.engine.native import (
 from repro.engine.pool import HAVE_NUMPY
 from repro.engine.profile import PROFILES
 from repro.lang.expr import Var
+from repro.lang.parser import parse_program
 from repro.lang.sugar import (
     dueling_coins,
     geometric_primes,
@@ -187,6 +195,184 @@ class TestDifferential:
         assert native == _walked(
             thawed.sampler(), 80, 91, extract=lambda s: s["t0"]
         )
+
+
+# -- 1b. the K-bit window walk -------------------------------------------
+
+def _at_step(monkeypatch, tmp_path, k):
+    """Build every kernel from here on with ``k``-bit windows (8 under
+    the default 1 MiB budget, 2 at the floor) in a fresh store."""
+    monkeypatch.setattr(_codegen, "W_BUDGET", (1 << 20) if k == 8 else 1)
+    monkeypatch.setenv("ZAR_NATIVE_CACHE_DIR", str(tmp_path))
+    reset_kernel_runtime()
+
+
+def _bound(table, k):
+    bound, reason, _info = kernel_for(table)
+    assert bound is not None, reason
+    assert bound.kernel.step_bits == k
+    return bound
+
+
+def _lsb_bits(data):
+    """``data`` as the kernel reads it: LSB first within each byte."""
+    return [(byte >> j) & 1 for byte in data for j in range(8)]
+
+
+@requires_native
+class TestWindowWalk:
+    """The kernel reads up to K bits per table lookup; every sample,
+    bit count and stream position must stay the one-bit walk's."""
+
+    def test_step_width_follows_the_table_size(self):
+        # The widest window whose int32 table fits in 1 MiB, never
+        # below 2: die6, die200, die10000 and a 70,000-row table.
+        widths = [_codegen.step_bits(rows)
+                  for rows in (6, 202, 10_005, 70_000)]
+        assert widths == [8, 8, 4, 2]
+
+    def test_step_width_is_part_of_the_digest(self, monkeypatch):
+        table = _compile(n_sided_die(200)).table
+        table.expand_all()
+        encoded = encode_table(table)
+        wide = encoded_digest(encoded)
+        assert "#define ZAR_K 8\n" in _codegen.render_c(encoded, wide)
+        monkeypatch.setattr(_codegen, "W_BUDGET", 1)
+        narrow = encoded_digest(encoded)
+        assert narrow != wide
+        assert "#define ZAR_K 2\n" in _codegen.render_c(encoded, narrow)
+
+    @pytest.mark.parametrize("k", [8, 2])
+    def test_die200_matches_python_and_walker(self, k, tmp_path,
+                                              monkeypatch):
+        _at_step(monkeypatch, tmp_path, k)
+        command = n_sided_die(200)
+        _bound(_compile(command).table, k)
+        extract = lambda s: s["x"]
+        native = _stream(command, 300, 7, "native", extract)
+        assert native == _stream(command, 300, 7, "python", extract)
+        assert native == _walked(
+            BatchSampler.from_command(command), 300, 7, extract
+        )
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    @pytest.mark.parametrize("k", [8, 2])
+    def test_failure_inside_a_window(self, k, tied, tmp_path, monkeypatch):
+        # The observation fails a few bits into an attempt, well inside
+        # an 8-bit window: tied, the next attempt starts on the bit
+        # after the failure; untied, the sample ends there.
+        _at_step(monkeypatch, tmp_path, k)
+        table = _compile(parse_program(
+            "a <~ flip(2/3);\nb <~ flip(2/3);\nobserve a != b;\n"
+        )).table
+        _bound(table, k)
+        sampler = BatchSampler(table, tied=tied)
+        native = sampler.collect(400, seed=5, backend="native")
+        assert sampler.native_fallback is None
+        python = sampler.collect(400, seed=5, backend="python")
+        assert (native.values, native.bits) == (python.values, python.bits)
+        assert (native.values, native.bits) == _walked(sampler, 400, 5)
+        failed = [bits for value, bits in zip(native.values, native.bits)
+                  if value is ENGINE_FAIL]
+        if tied:
+            assert not failed
+        else:
+            assert failed and min(failed) < 8
+
+    @pytest.mark.parametrize("k", [8, 2])
+    def test_tail_path_and_parking_across_tiny_buffers(self, k, tmp_path,
+                                                       monkeypatch):
+        # Buffers of 1..16 bytes: below 8 bytes only the one-bit tail
+        # path runs, above it the window path hands over to the tail
+        # mid-buffer, and samples park and resume across nearly every
+        # call.  The reference is the one-sample walker on the same bits.
+        _at_step(monkeypatch, tmp_path, k)
+        table = _compile(dueling_coins(Fraction(2, 3))).table
+        bound = _bound(table, k)
+        data = random.Random(k).randbytes(4000)
+        n = 300
+        out_idx = array("q", [0]) * n
+        out_bits = array("q", [0]) * n
+        state = array("q", [_codegen.FRESH_STATE, 0])
+        done = offset = 0
+        size = 1
+        while done < n:
+            buffer = data[offset:offset + size]
+            assert len(buffer) == size, "reference bits ran out"
+            offset += size
+            size = size % 16 + 1
+            done = bound.kernel.collect_call(
+                buffer, len(buffer) * 8, done, n, out_idx, out_bits, state,
+                bound.payload_map, True,
+            )
+        source = CountingBits(ReplayBits(_lsb_bits(data)))
+        sampler = BatchSampler(table)
+        walked = [(sampler.sample(source), source.take_count())
+                  for _ in range(n)]
+        assert [(table.payloads[i], bits)
+                for i, bits in zip(out_idx, out_bits)] == walked
+
+    @pytest.mark.parametrize("k", [8, 2])
+    def test_one_chunk_refills(self, k, tmp_path, monkeypatch):
+        # One 4096-bit chunk per kernel call: at ~135 bits a sample the
+        # dueling-coins walk parks at every refill.
+        _at_step(monkeypatch, tmp_path, k)
+        monkeypatch.setattr("repro.engine.native.driver._CHUNKS_MIN", 1)
+        monkeypatch.setattr("repro.engine.native.driver._CHUNKS_MAX", 1)
+        table = _compile(dueling_coins(Fraction(1, 20))).table
+        bound = _bound(table, k)
+        assert collect_kernel(bound, 600, seed=3) == collect_python(
+            table, 600, BitPool(3)
+        )
+
+    def test_step_width_mismatch_fails_validation(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(
+            "repro.engine.native.kernel.step_bits", lambda rows: 3
+        )
+        table = _compile(n_sided_die(6)).table
+        with pytest.raises(KernelCacheError, match="step width 8"):
+            build_kernel(encode_table(table), cache_dir=str(tmp_path))
+
+    def test_uninitialised_kernel_refuses_instead_of_spinning(
+        self, tmp_path
+    ):
+        # Before zar_init an all-zero window table consumes no bits per
+        # lookup, so an unguarded walk would never end.  The child loads
+        # the object without zar_init; a hang times out instead of
+        # taking the suite down.
+        encoded = encode_table(_compile(n_sided_die(6)).table)
+        _kernel, info = build_kernel(encoded, cache_dir=str(tmp_path))
+        so_path = tmp_path / ("zk-%s-%s.so"
+                              % (info["digest"], compiler_fingerprint()))
+        script = textwrap.dedent("""
+            import sys
+            from array import array
+            from repro.engine.native import kernel
+            from repro.engine.native.codegen import FRESH_STATE
+
+            lib = kernel._open_library(sys.argv[1])
+            loaded = kernel.NativeKernel(lib, sys.argv[2], 6)
+            n = 10
+            try:
+                loaded.collect_call(
+                    bytes(64), 512, 0, n, array("q", [0]) * n,
+                    array("q", [0]) * n, array("q", [FRESH_STATE, 0]),
+                    array("i", range(6)), True,
+                )
+            except kernel.KernelCacheError as err:
+                print("refused:", err)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent
+                                / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(so_path), info["digest"]],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "refused:" in proc.stdout
+        assert "zar_init" in proc.stdout
 
 
 # -- 2. canonical encoding and the digest --------------------------------
@@ -584,7 +770,10 @@ class TestSeams:
         first = kernel_status(closed)
         assert first.startswith(("compiled (", "cached ("))
         assert "key " in first
-        assert kernel_status(closed).startswith("cached (memory")
+        assert first.endswith(", 8-bit steps)")
+        second = kernel_status(closed)
+        assert second.startswith("cached (memory")
+        assert second.endswith(", 8-bit steps)")
         open_table = _compile(geometric_primes(Fraction(1, 2))).table
         assert kernel_status(open_table).startswith("unavailable (open table")
 

@@ -268,6 +268,30 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match=r"batch, trampoline"):
             validate_profile(EngineProfile(engine="auto"))
 
+    @pytest.mark.parametrize("backend", ["native", "python", "auto"])
+    def test_trampoline_rejects_a_pinned_backend(self, backend):
+        # The trampoline runs no batch backend: a pinned one is a
+        # conflict to report, not a choice to drop.
+        with pytest.raises(ValueError, match="trampoline"):
+            collect_auto(n_sided_die(6), 10, seed=1, engine="trampoline",
+                         backend=backend)
+        with pytest.raises(ValueError, match="trampoline"):
+            collect_auto(n_sided_die(6), 10, seed=1,
+                         profile=PROFILES["trampoline"], backend=backend)
+
+    def test_cli_rejects_trampoline_with_backend(self, tmp_path):
+        import io
+
+        from repro.cli import main
+
+        program = tmp_path / "die.gcl"
+        program.write_text("m <~ uniform(6);\n")
+        out = io.StringIO()
+        code = main(["sample", str(program), "--engine", "trampoline",
+                     "--backend", "native"], out=out)
+        assert code == 1
+        assert out.getvalue().startswith("error: backend 'native' ")
+
 
 @pytest.fixture()
 def tiny_pipeline(monkeypatch):
