@@ -30,7 +30,7 @@ from repro.analysis.interp import ObserveSite, ProgramAnalysis
 from repro.cftree.analysis import expected_bits
 from repro.cftree.compile import compile_cpgcl
 from repro.cftree.tree import CFTree
-from repro.compiler.passes import DEFAULT_PASSES, PassContext, resolve_passes
+from repro.compiler.passes import DEFAULT_PASSES, TREE_PASSES, lookup
 from repro.inference.fixpoint import FixpointEngine
 from repro.lang.state import State
 from repro.lang.syntax import Command
@@ -52,9 +52,8 @@ MASS_WIDTH = Fraction(1, 2**30)
 
 def _debiased(command: Command, sigma: State) -> CFTree:
     tree = compile_cpgcl(command, sigma)
-    ctx = PassContext()
-    for pass_ in resolve_passes(DEFAULT_PASSES):
-        tree = pass_.run(tree, ctx)
+    for run in lookup(TREE_PASSES, DEFAULT_PASSES):
+        tree = run(tree)
     return tree
 
 

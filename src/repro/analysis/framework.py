@@ -14,9 +14,9 @@ Two pieces, both deliberately independent of any particular domain:
   ``analysis-incomplete`` diagnostic -- mirroring the unmetered-loop
   class of bug fixed in ``repro.lang.interp`` by PR 1.
 
-Analyzer registration mirrors ``compiler.passes.register_pass``: an
-analyzer is a callable taking an :class:`AnalysisContext`; registered
-names are picked up by ``repro.analysis.lint.lint_program``.
+An analyzer is a callable taking an :class:`AnalysisContext`,
+registered by name with :func:`register_analyzer`; registered names are
+picked up by ``repro.analysis.lint.lint_program``.
 """
 
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar

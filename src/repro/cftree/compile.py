@@ -74,28 +74,23 @@ def compile_cache_stats():
     return _COMPILE_CACHE.stats()
 
 
-def compile_cpgcl(command: Command, sigma: State, coalesce: str = "loopback") -> CFTree:
-    """``[[command]] sigma`` -- Definition 3.5.
-
-    ``coalesce`` selects the leaf-coalescing mode of the ``uniform_tree``
-    construction used for ``uniform`` commands (see
-    :mod:`repro.cftree.uniform`).
-    """
+def compile_cpgcl(command: Command, sigma: State) -> CFTree:
+    """``[[command]] sigma`` -- Definition 3.5."""
     command = normalize_command(command)
     sigma = normalize_state(sigma)
     # The canonical objects' ids are structural keys in disguise: the
     # interner maps equal objects to one representative, and the
     # keepalive tuple pins it so the id cannot be recycled even if the
     # interner is reset.
-    key = (id(command), id(sigma), coalesce)
+    key = (id(command), id(sigma))
     cached = _COMPILE_CACHE.get(key)
     if cached is None:
-        cached = _compile(command, sigma, coalesce)
+        cached = _compile(command, sigma)
         _COMPILE_CACHE.put(key, (command, sigma), cached)
     return cached
 
 
-def _compile(command: Command, sigma: State, coalesce: str) -> CFTree:
+def _compile(command: Command, sigma: State) -> CFTree:
     if isinstance(command, Skip):
         return Leaf(sigma)
     if isinstance(command, Assign):
@@ -107,23 +102,23 @@ def _compile(command: Command, sigma: State, coalesce: str) -> CFTree:
     if isinstance(command, Seq):
         second = command.second
         return bind(
-            compile_cpgcl(command.first, sigma, coalesce),
+            compile_cpgcl(command.first, sigma),
             tag(
-                lambda s: compile_cpgcl(second, s, coalesce),
-                derive("k.compile", second, coalesce),
+                lambda s: compile_cpgcl(second, s),
+                derive("k.compile", second),
             ),
         )
     if isinstance(command, Ite):
         taken = command.then if as_bool(command.cond.eval(sigma)) else command.orelse
-        return compile_cpgcl(taken, sigma, coalesce)
+        return compile_cpgcl(taken, sigma)
     if isinstance(command, ChoiceCmd):
         p = as_fraction(command.prob.eval(sigma))
         if not 0 <= p <= 1:
             raise ProbabilityRangeError(p, sigma)
         return Choice(
             p,
-            compile_cpgcl(command.left, sigma, coalesce),
-            compile_cpgcl(command.right, sigma, coalesce),
+            compile_cpgcl(command.left, sigma),
+            compile_cpgcl(command.right, sigma),
         )
     if isinstance(command, Uniform):
         n = as_int(command.range_expr.eval(sigma))
@@ -134,9 +129,7 @@ def _compile(command: Command, sigma: State, coalesce: str) -> CFTree:
         # would embed sigma and be unique per state -- all cost (a state
         # fingerprint per compile), no sharing.  The rejection wrapper
         # it produces is closed out by expansion before any disk spill.
-        return bind(
-            uniform_tree(n, coalesce), lambda i: Leaf(sigma.set(name, i))
-        )
+        return bind(uniform_tree(n), lambda i: Leaf(sigma.set(name, i)))
     if isinstance(command, While):
         guard_expr, body = command.cond, command.body
 
@@ -144,13 +137,13 @@ def _compile(command: Command, sigma: State, coalesce: str) -> CFTree:
             return as_bool(guard_expr.eval(s))
 
         def generate(s: State) -> CFTree:
-            return compile_cpgcl(body, s, coalesce)
+            return compile_cpgcl(body, s)
 
         # The command fully determines guard and body; cont is the pure
         # Leaf injection, so the machinery subkey coincides with the
         # full key.  init (= sigma) is digested separately by the
         # "fixkey" tree emitter, so it is *not* part of the key.
-        key = derive("fix.while", command, coalesce)
+        key = derive("fix.while", command)
         return Fix(
             sigma,
             guard,

@@ -27,27 +27,27 @@ _HALF = Fraction(1, 2)
 _DEBIAS_CACHE = BoundedCache(200_000)
 
 
-def debias(tree: CFTree, coalesce: str = "loopback") -> CFTree:
+def debias(tree: CFTree) -> CFTree:
     """Replace all biased choices by fair coin-flipping schemes.
 
-    ``coalesce`` selects the leaf-coalescing mode of the underlying
-    ``bernoulli_tree`` construction (see :mod:`repro.cftree.uniform`);
-    the default reproduces the paper's measured entropy usage.
+    The ``bernoulli_tree`` schemes use the paper's loopback coalescing
+    (see :mod:`repro.cftree.uniform`), which reproduces its measured
+    entropy usage.
     """
-    key = (id(tree), coalesce)
+    key = id(tree)
     cached = _DEBIAS_CACHE.get(key)
     if cached is None:
-        cached = _debias(tree, coalesce)
+        cached = _debias(tree)
         _DEBIAS_CACHE.put(key, (tree,), cached)
     return cached
 
 
-def _debias(tree: CFTree, coalesce: str) -> CFTree:
+def _debias(tree: CFTree) -> CFTree:
     if isinstance(tree, (Leaf, Fail)):
         return tree
     if isinstance(tree, Choice):
-        left = debias(tree.left, coalesce)
-        right = debias(tree.right, coalesce)
+        left = debias(tree.left)
+        right = debias(tree.right)
         if tree.prob == _HALF:
             return Choice(_HALF, left, right)
         # The selector stays untagged on purpose: its key would embed
@@ -56,7 +56,7 @@ def _debias(tree: CFTree, coalesce: str) -> CFTree:
         # rejection wrapper ``bind`` builds here is closed out by
         # expansion before any disk spill.
         return bind(
-            bernoulli_tree(tree.prob, coalesce),
+            bernoulli_tree(tree.prob),
             lambda heads: left if heads else right,
         )
     if isinstance(tree, Fix):
@@ -67,10 +67,10 @@ def _debias(tree: CFTree, coalesce: str) -> CFTree:
         return Fix(
             tree.init,
             tree.guard,
-            lambda s: debias(body(s), coalesce),
-            lambda s: debias(cont(s), coalesce),
-            key=derive("fix.debias", tree.key, coalesce),
-            subkey=derive("sub.debias", tree.subkey, coalesce),
+            lambda s: debias(body(s)),
+            lambda s: debias(cont(s)),
+            key=derive("fix.debias", tree.key),
+            subkey=derive("sub.debias", tree.subkey),
             footprint=tree.footprint,
         )
     raise TypeError("not a CF tree: %r" % (tree,))

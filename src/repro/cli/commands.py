@@ -62,7 +62,7 @@ def _parse_value(raw: str):
         if "/" in raw:
             return normalize(Fraction(raw))
         return int(raw)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise CliError("cannot parse value %r (int, bool, or p/q)" % (raw,))
 
 

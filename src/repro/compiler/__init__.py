@@ -13,8 +13,10 @@ Submodules:
 - :mod:`repro.compiler.digest`    -- content-addressed fingerprints;
 - :mod:`repro.compiler.normalize` -- structural hash-consing of commands
   and states (replaces the seed's ``id(...)``-keyed memo keys);
-- :mod:`repro.compiler.passes`    -- the pass registry (equal subtrees
-  are shared by the lowering's row hash-consing, not by a pass);
+- :mod:`repro.compiler.passes`    -- the name -> function tables of the
+  tree passes (``elim_choices``, ``debias``) and command passes
+  (``prune_dead``); equal subtrees are shared by the lowering's row
+  hash-consing, not by a pass;
 - :mod:`repro.compiler.cache`     -- in-memory LRU + on-disk artifact
   cache keyed by program/state/pass-list digest;
 - :mod:`repro.compiler.pipeline`  -- ``Pipeline``/``CompiledProgram``.
@@ -33,9 +35,8 @@ _EXPORTS = {
     "compile_tree": "repro.compiler.pipeline",
     "default_pipeline": "repro.compiler.pipeline",
     "DEFAULT_PASSES": "repro.compiler.passes",
-    "Pass": "repro.compiler.passes",
-    "PASS_REGISTRY": "repro.compiler.passes",
-    "register_pass": "repro.compiler.passes",
+    "TREE_PASSES": "repro.compiler.passes",
+    "COMMAND_PASSES": "repro.compiler.passes",
     "CompilationCache": "repro.compiler.cache",
     "get_cache": "repro.compiler.cache",
     "configure_cache": "repro.compiler.cache",

@@ -251,7 +251,6 @@ def fingerprint(*parts) -> str:
 def program_digest(
     command: Command,
     sigma: State,
-    coalesce: str,
     passes,
     max_nodes: int,
     options: tuple = (),
@@ -263,6 +262,5 @@ def program_digest(
     option that affects the output must be part of the key.
     """
     return fingerprint(
-        "program", command, sigma, coalesce, tuple(passes), max_nodes,
-        tuple(options),
+        "program", command, sigma, tuple(passes), max_nodes, tuple(options),
     )

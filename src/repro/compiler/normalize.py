@@ -1,6 +1,6 @@
 """The normalize stage: structural hash-consing of commands and states.
 
-``compile_cpgcl`` memoizes per ``(command, state, coalesce)``.  The seed
+``compile_cpgcl`` memoizes per ``(command, state)``.  The seed
 keyed that memo on ``id(command)``, which is fragile: an id is only
 unique among *live* objects, so the cache had to pin every keyed command
 alive forever to stay sound, and two structurally equal programs could

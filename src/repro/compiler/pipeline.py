@@ -9,7 +9,7 @@ explicit, named, and inspectable:
   representatives (structural hashing, :mod:`repro.compiler.normalize`)
   and derive the content digest that keys the compilation cache;
 - **build** -- CF-tree construction (Definition 3.5);
-- **optimize** -- run the registered pass list
+- **optimize** -- run the named tree passes
   (:mod:`repro.compiler.passes`), recording DAG node counts before and
   after each pass;
 - **lower** -- DAG-aware :class:`~repro.engine.table.NodeTable`
@@ -38,11 +38,11 @@ from repro.compiler.normalize import (
     normalize_stats,
 )
 from repro.compiler.passes import (
+    COMMAND_PASSES,
     DEFAULT_COMMAND_PASSES,
     DEFAULT_PASSES,
-    PassContext,
-    resolve_command_passes,
-    resolve_passes,
+    TREE_PASSES,
+    lookup,
 )
 from repro.engine.table import NodeTable
 from repro.lang.state import State
@@ -96,7 +96,6 @@ class CompiledProgram:
     __slots__ = (
         "command",
         "sigma",
-        "coalesce",
         "passes",
         "tree",
         "table",
@@ -105,11 +104,10 @@ class CompiledProgram:
         "source",
     )
 
-    def __init__(self, command, sigma, coalesce, passes, tree, table,
-                 digest, stats, source="built"):
+    def __init__(self, command, sigma, passes, tree, table, digest, stats,
+                 source="built"):
         self.command = command
         self.sigma = sigma
-        self.coalesce = coalesce
         self.passes = tuple(passes)
         self.tree = tree  # None when rehydrated from the disk cache
         self.table = table
@@ -152,7 +150,6 @@ class CompiledProgram:
             return None
         return {
             "digest": self.digest,
-            "coalesce": self.coalesce,
             "passes": self.passes,
             "stats": self.stats,
             "table": frozen,
@@ -165,7 +162,6 @@ class CompiledProgram:
         return cls(
             command=None,
             sigma=None,
-            coalesce=payload["coalesce"],
             passes=payload["passes"],
             tree=None,
             table=thaw_table(payload["table"]),
@@ -189,7 +185,6 @@ class Pipeline:
     def __init__(
         self,
         passes: Tuple[str, ...] = DEFAULT_PASSES,
-        coalesce: str = "loopback",
         max_nodes: int = 2_000_000,
         dedupe: bool = True,
         eager_expand: int = EAGER_EXPAND_DEFAULT,
@@ -199,18 +194,17 @@ class Pipeline:
         command_passes: Tuple[str, ...] = DEFAULT_COMMAND_PASSES,
     ):
         self.pass_names = tuple(passes)
-        self.passes = resolve_passes(passes)
+        self.passes = lookup(TREE_PASSES, passes)
         self.command_pass_names = tuple(command_passes)
-        self.command_passes = resolve_command_passes(command_passes)
-        self.coalesce = coalesce
+        self.command_passes = lookup(COMMAND_PASSES, command_passes)
         self.max_nodes = max_nodes
         self.dedupe = dedupe
         self.eager_expand = eager_expand
         self.compact = compact
         self.use_cache = use_cache
         self._cache = cache
-        # Table-shaping knobs beyond the core (program, coalesce,
-        # passes, max_nodes) key -- part of every cache digest so
+        # Table-shaping knobs beyond the core (program, passes,
+        # max_nodes) key -- part of every cache digest so
         # differently-configured pipelines never collide on one entry.
         self._digest_options = (
             "dedupe", dedupe,
@@ -236,8 +230,8 @@ class Pipeline:
     ) -> CompiledProgram:
         """Run all stages on ``(command, sigma)``.
 
-        ``measure_raw=True`` additionally lowers the program *without*
-        row dedupe and compaction and records the row-count
+        ``measure_raw=True`` additionally lowers the optimized tree
+        *without* row dedupe and compaction and records the row-count
         delta under ``stats["lower"]["rows_raw"]`` (used by ``zar
         compile`` and the compiler benchmark; costs a second lowering).
         """
@@ -274,7 +268,6 @@ class Pipeline:
         stats: Dict[str, object] = {
             "digest": digest,
             "undigestable": undigestable,
-            "coalesce": self.coalesce,
             "passes": list(self.pass_names),
             "normalize": dict(normalize_stats(), seconds=normalize_seconds),
         }
@@ -285,41 +278,30 @@ class Pipeline:
         # above covers them through ``command_passes`` in the options, so
         # cached artifacts remain keyed by the *source* program.
         t0 = time.perf_counter()
-        analysis_info: Dict[str, object] = {
-            "passes": list(self.command_pass_names),
-        }
-        build_command = command
-        for entry in self.command_passes:
-            build_command, info = entry.run(build_command, sigma)
-            analysis_info.update(info)
-        if build_command is not command:
-            build_command = normalize_command(build_command)
+        build_command, analysis_info = self._analyze(command, sigma)
         analysis_info["seconds"] = time.perf_counter() - t0
         stats["analysis"] = analysis_info
 
         # build ----------------------------------------------------------
         t0 = time.perf_counter()
-        tree = compile_cpgcl(build_command, sigma, self.coalesce)
+        tree = compile_cpgcl(build_command, sigma)
         stats["build"] = {
             "seconds": time.perf_counter() - t0,
             "dag_nodes": dag_size(tree),
         }
 
         # optimize -------------------------------------------------------
-        ctx = PassContext(coalesce=self.coalesce)
-        tree, pass_stats = self._optimize(tree, ctx)
-        stats["optimize"] = pass_stats
+        tree, stats["optimize"] = self._optimize(tree)
 
         # lower ----------------------------------------------------------
         table, lower_stats = self._lower(tree)
         if measure_raw:
-            lower_stats.update(self._measure_raw(command, sigma, len(table)))
+            lower_stats.update(self._measure_raw(tree, len(table)))
         stats["lower"] = lower_stats
         stats["cftree_cache"] = compile_cache_stats()
 
         program = CompiledProgram(
-            command, sigma, self.coalesce, self.pass_names,
-            tree, table, digest, stats,
+            command, sigma, self.pass_names, tree, table, digest, stats,
         )
         if digest is not None and cache is not None:
             cache.put(digest, program)
@@ -336,20 +318,20 @@ class Pipeline:
 
         ``key_parts`` names the construction for content addressing when
         the tree itself is undigestable (rejection wrappers contain
-        ``Fix`` closures): e.g. ``("uniform_tree", 6, "loopback")``.
+        ``Fix`` closures): e.g. ``("uniform_tree", 6)``.
         """
         digest = None
         undigestable = None
         try:
             if key_parts is not None:
                 digest = fingerprint(
-                    "tree-key", tuple(key_parts), self.coalesce,
-                    self.pass_names, self.max_nodes, self._digest_options,
+                    "tree-key", tuple(key_parts), self.pass_names,
+                    self.max_nodes, self._digest_options,
                 )
             else:
                 digest = fingerprint(
-                    "tree", tree, self.coalesce, self.pass_names,
-                    self.max_nodes, self._digest_options,
+                    "tree", tree, self.pass_names, self.max_nodes,
+                    self._digest_options,
                 )
         except Undigestable as err:
             undigestable = str(err)
@@ -360,8 +342,7 @@ class Pipeline:
             if hit is not None:
                 if getattr(hit.table, "needs_rebind", False):
                     t0 = time.perf_counter()
-                    ctx = PassContext(coalesce=self.coalesce)
-                    bound, _ = self._optimize(tree, ctx)
+                    bound, _ = self._optimize(tree)
                     hit.table.thaw_bind(bound)
                     hit.tree = bound
                     hit.stats["thaw"] = {
@@ -374,23 +355,16 @@ class Pipeline:
         stats: Dict[str, object] = {
             "digest": digest,
             "undigestable": undigestable,
-            "coalesce": self.coalesce,
             "passes": list(self.pass_names),
         }
-        ctx = PassContext(coalesce=self.coalesce)
-        source = tree
-        tree, pass_stats = self._optimize(tree, ctx)
-        stats["optimize"] = pass_stats
+        tree, stats["optimize"] = self._optimize(tree)
         table, lower_stats = self._lower(tree)
         if measure_raw:
-            raw = self._raw_rows(source)
-            lower_stats["rows_raw"] = raw
-            lower_stats["reduction_pct"] = _reduction(raw, len(table))
+            lower_stats.update(self._measure_raw(tree, len(table)))
         stats["lower"] = lower_stats
 
         program = CompiledProgram(
-            None, None, self.coalesce, self.pass_names,
-            tree, table, digest, stats,
+            None, None, self.pass_names, tree, table, digest, stats,
         )
         if digest is not None and cache is not None:
             cache.put(digest, program)
@@ -413,8 +387,8 @@ class Pipeline:
             digest = undigestable = None
             try:
                 digest = program_digest(
-                    command, sigma, self.coalesce, self.pass_names,
-                    self.max_nodes, self._digest_options,
+                    command, sigma, self.pass_names, self.max_nodes,
+                    self._digest_options,
                 )
             except Undigestable as err:
                 undigestable = str(err)
@@ -424,30 +398,37 @@ class Pipeline:
             self._digests[key] = entry
         return entry[2], entry[3]
 
+    def _analyze(self, command: Command,
+                 sigma: State) -> Tuple[Command, Dict[str, object]]:
+        """Run the command passes: ``(command to build, analysis
+        info)``."""
+        info: Dict[str, object] = {"passes": list(self.command_pass_names)}
+        build_command = command
+        for run in self.command_passes:
+            build_command, pass_info = run(build_command, sigma)
+            info.update(pass_info)
+        if build_command is not command:
+            build_command = normalize_command(build_command)
+        return build_command, info
+
     def _rebuild_tree(self, command: Command, sigma: State) -> CFTree:
         """The optimized tree for ``(command, sigma)``, without stats
         bookkeeping -- used to rebind thawed open tables."""
-        build_command = command
-        for entry in self.command_passes:
-            build_command, _ = entry.run(build_command, sigma)
-        if build_command is not command:
-            build_command = normalize_command(build_command)
-        tree = compile_cpgcl(build_command, sigma, self.coalesce)
-        ctx = PassContext(coalesce=self.coalesce)
-        tree, _ = self._optimize(tree, ctx)
+        build_command, _ = self._analyze(command, sigma)
+        tree, _ = self._optimize(compile_cpgcl(build_command, sigma))
         return tree
 
-    def _optimize(self, tree, ctx):
+    def _optimize(self, tree):
         records: List[dict] = []
         before = dag_size(tree)
-        for entry in self.passes:
+        for name, run in zip(self.pass_names, self.passes):
             t0 = time.perf_counter()
-            tree = entry.run(tree, ctx)
+            tree = run(tree)
             seconds = time.perf_counter() - t0
             after = dag_size(tree)
             records.append(
                 {
-                    "name": entry.name,
+                    "name": name,
                     "dag_nodes_before": before,
                     "dag_nodes_after": after,
                     "seconds": seconds,
@@ -470,31 +451,17 @@ class Pipeline:
             "seconds": time.perf_counter() - t0,
         }
 
-    def _raw_rows(self, tree) -> int:
-        """Rows of the baseline lowering: the same passes, no row
-        dedupe, no compaction, same expansion budget -- what the
-        ``rows_raw``/``reduction_pct`` stats compare against."""
-        ctx = PassContext(coalesce=self.coalesce)
-        for entry in self.passes:
-            tree = entry.run(tree, ctx)
+    def _measure_raw(self, tree, rows: int) -> Dict[str, object]:
+        """``rows_raw``/``reduction_pct``: ``rows`` against the baseline
+        lowering of the same optimized ``tree`` -- no row dedupe, no
+        compaction, same expansion budget."""
         table = NodeTable.from_cftree(tree, self.max_nodes, dedupe=False)
         table.expand_all(limit=self.eager_expand)
-        return len(table)
-
-    def _measure_raw(self, command, sigma, optimized_rows):
-        rows_raw = self._raw_rows(
-            compile_cpgcl(command, sigma, self.coalesce)
-        )
+        raw = len(table)
         return {
-            "rows_raw": rows_raw,
-            "reduction_pct": _reduction(rows_raw, optimized_rows),
+            "rows_raw": raw,
+            "reduction_pct": round(100.0 * (raw - rows) / raw, 2),
         }
-
-
-def _reduction(raw: int, optimized: int) -> float:
-    if raw <= 0:
-        return 0.0
-    return round(100.0 * (raw - optimized) / raw, 2)
 
 
 #: The shared default pipeline behind ``BatchSampler.from_command`` etc.
@@ -512,8 +479,6 @@ def compile_program(
     command: Command,
     sigma: Optional[State] = None,
     passes: Tuple[str, ...] = DEFAULT_PASSES,
-    coalesce: str = "loopback",
-    max_nodes: int = 2_000_000,
     use_cache: bool = True,
     measure_raw: bool = False,
 ) -> CompiledProgram:
@@ -522,20 +487,10 @@ def compile_program(
     The default-configuration fast path reuses one ``Pipeline`` instance
     so every entry point shares the same compilation cache.
     """
-    if (
-        passes == DEFAULT_PASSES
-        and coalesce == "loopback"
-        and max_nodes == 2_000_000
-        and use_cache
-    ):
+    if passes == DEFAULT_PASSES and use_cache:
         pipeline = default_pipeline()
     else:
-        pipeline = Pipeline(
-            passes=passes,
-            coalesce=coalesce,
-            max_nodes=max_nodes,
-            use_cache=use_cache,
-        )
+        pipeline = Pipeline(passes=passes, use_cache=use_cache)
     return pipeline.compile(command, sigma, measure_raw=measure_raw)
 
 
@@ -543,15 +498,8 @@ def compile_tree(
     tree: CFTree,
     key_parts: Optional[tuple] = None,
     passes: Tuple[str, ...] = ("debias",),
-    coalesce: str = "loopback",
-    max_nodes: int = 2_000_000,
     use_cache: bool = True,
 ) -> CompiledProgram:
     """Pipeline a pre-built CF tree (see :meth:`Pipeline.compile_tree`)."""
-    pipeline = Pipeline(
-        passes=passes,
-        coalesce=coalesce,
-        max_nodes=max_nodes,
-        use_cache=use_cache,
-    )
+    pipeline = Pipeline(passes=passes, use_cache=use_cache)
     return pipeline.compile_tree(tree, key_parts=key_parts)

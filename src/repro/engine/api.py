@@ -219,7 +219,10 @@ def collect_auto(
 
 def _emit_run(program, result: CollectResult, n: int,
               cache_source=None, kernel=None) -> None:
-    """Append a telemetry record for one run (no-op when disabled)."""
+    """Append a telemetry record for one run (no-op when disabled).
+
+    Only a batch run has a backend: a trampoline run -- pinned, or a
+    ``LoweringError`` fallback -- records ``backend: None``."""
     from repro.telemetry import make_run_record, emit, telemetry_enabled
 
     if not telemetry_enabled():
@@ -231,7 +234,8 @@ def _emit_run(program, result: CollectResult, n: int,
             n=n,
             seconds=result.seconds,
             engine=result.engine,
-            backend=result.profile.backend,
+            backend=(result.profile.backend if result.engine == "batch"
+                     else None),
             bits_total=sum(result.samples.bits),
             cache_source=cache_source,
             fallback_reason=result.fallback_reason,
@@ -261,45 +265,22 @@ class BatchSampler:
 
     @classmethod
     def from_command(
-        cls,
-        command: Command,
-        sigma: Optional[State] = None,
-        coalesce: str = "loopback",
-        eliminate: bool = True,
-        max_nodes: int = 2_000_000,
+        cls, command: Command, sigma: Optional[State] = None
     ) -> "BatchSampler":
         """Lower ``command`` through the staged compiler pipeline
         (normalize, compile, ``elim_choices``, ``debias``) into a
         deduplicated node table; artifacts are shared through the
         content-addressed compilation cache (:mod:`repro.compiler`)."""
-        from repro.compiler.passes import DEFAULT_PASSES
         from repro.compiler.pipeline import compile_program
 
-        passes = DEFAULT_PASSES if eliminate else ("debias",)
-        program = compile_program(
-            command,
-            sigma,
-            passes=passes,
-            coalesce=coalesce,
-            max_nodes=max_nodes,
-        )
-        return cls(program.table)
+        return cls(compile_program(command, sigma).table)
 
     @classmethod
-    def from_cftree(
-        cls,
-        tree: CFTree,
-        coalesce: str = "loopback",
-        apply_debias: bool = True,
-        max_nodes: int = 2_000_000,
-    ) -> "BatchSampler":
+    def from_cftree(cls, tree: CFTree) -> "BatchSampler":
+        """Debias and lower a pre-built CF tree (``uniform_tree``, ...)."""
         from repro.compiler.pipeline import compile_tree
 
-        passes = ("debias",) if apply_debias else ()
-        program = compile_tree(
-            tree, passes=passes, coalesce=coalesce, max_nodes=max_nodes
-        )
-        return cls(program.table)
+        return cls(compile_tree(tree).table)
 
     # -- sampling --------------------------------------------------------
 

@@ -81,34 +81,25 @@ def tie_itree(tree: ITree) -> ITree:
 
 
 def cpgcl_to_itree(
-    command: Command,
-    sigma: State,
-    coalesce: str = "loopback",
-    eliminate: bool = True,
+    command: Command, sigma: State, eliminate: bool = True
 ) -> ITree:
     """Definition 3.13: the composed compiler pipeline.
 
     ``tie_itree (to_itree_open (debias (elim_choices (compile c sigma))))``.
     ``eliminate=False`` skips ``elim_choices`` (for the ablation bench).
     """
-    tree = compile_cpgcl(command, sigma, coalesce)
-    if eliminate:
-        tree = elim_choices(tree)
-    return tie_itree(to_itree_open(debias(tree, coalesce)))
+    return tie_itree(open_pipeline(command, sigma, eliminate))
 
 
 def open_pipeline(
-    command: Command,
-    sigma: State,
-    coalesce: str = "loopback",
-    eliminate: bool = True,
+    command: Command, sigma: State, eliminate: bool = True
 ) -> ITree:
     """The pipeline *without* the final knot: failure is observable.
 
     Useful for inspecting observation-failure mass and for the
     preimage-interval computations of Section 4.2.
     """
-    tree = compile_cpgcl(command, sigma, coalesce)
+    tree = compile_cpgcl(command, sigma)
     if eliminate:
         tree = elim_choices(tree)
-    return to_itree_open(debias(tree, coalesce))
+    return to_itree_open(debias(tree))

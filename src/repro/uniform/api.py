@@ -42,12 +42,11 @@ class ZarUniform:
         n: int,
         seed: Optional[int] = None,
         validate: Optional[bool] = None,
-        coalesce: str = "loopback",
     ):
         if n <= 0:
             raise ValueError("range must be positive")
         self.n = n
-        self._tree = uniform_tree(n, coalesce)
+        self._tree = uniform_tree(n)
         if validate is None:
             validate = n <= 512
         if validate:
@@ -60,9 +59,7 @@ class ZarUniform:
         from repro.compiler.pipeline import compile_tree
 
         self._compiled = compile_tree(
-            self._tree,
-            key_parts=("uniform_tree", n, coalesce),
-            coalesce=coalesce,
+            self._tree, key_parts=("uniform_tree", n)
         )
         self._sampler = BatchSampler(self._compiled.table)
         self._source = CountingBits(SystemBits(seed))

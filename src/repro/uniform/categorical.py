@@ -65,12 +65,10 @@ class ZarCategorical:
         weights: Sequence[int],
         seed: Optional[int] = None,
         validate: Optional[bool] = None,
-        coalesce: str = "loopback",
     ):
         self.weights = list(weights)
         self.total = sum(self.weights)
-        tree = categorical_tree(self.weights)
-        self._tree = debias(tree, coalesce)
+        self._tree = debias(categorical_tree(self.weights))
         if validate is None:
             validate = len(self.weights) <= 256
         if validate:
@@ -83,9 +81,8 @@ class ZarCategorical:
 
         self._compiled = compile_tree(
             self._tree,
-            key_parts=("categorical", tuple(self.weights), coalesce),
+            key_parts=("categorical", tuple(self.weights)),
             passes=(),
-            coalesce=coalesce,
         )
         self._sampler = BatchSampler(self._compiled.table)
         self._source = CountingBits(SystemBits(seed))

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -111,6 +112,20 @@ class TestCompile:
         )
         assert code == 0
         assert "debias" in text
+
+    def test_raw_row_baseline_of_a_pruned_program(self):
+        # The "raw N, -P%" baseline is the pruned program lowered
+        # without dedup/compaction, so P is a share in [0, 100].
+        code, text = run_cli(
+            "compile", str(EXAMPLES / "broken" / "dead_loop.gcl")
+        )
+        assert code == 0
+        match = re.search(r"(\d+) table rows  \(raw (\d+), -(-?[0-9.]+)% "
+                          r"via dedup", text)
+        assert match, text
+        rows, raw, pct = match.groups()
+        assert int(raw) >= int(rows)
+        assert 0.0 <= float(pct) <= 100.0
 
     def test_tree_rendering(self, programs_dir):
         code, text = run_cli(
@@ -391,6 +406,23 @@ class TestInitialStateParsing:
     def test_parse_value_rejects_garbage(self):
         with pytest.raises(CliError):
             _parse_value("fish")
+
+    def test_parse_value_rejects_zero_denominator(self):
+        with pytest.raises(CliError, match="cannot parse value '1/0'"):
+            _parse_value("1/0")
+
+    @pytest.mark.parametrize(
+        "subcommand", ["check", "lint", "compile", "sample", "infer",
+                       "bounds", "mcmc"],
+    )
+    def test_zero_denominator_init_is_an_error_line(self, programs_dir,
+                                                    subcommand):
+        code, text = run_cli(subcommand, str(programs_dir / "die.gcl"),
+                             "--init", "x=1/0")
+        assert code == 1
+        assert text.strip() == (
+            "error: cannot parse value '1/0' (int, bool, or p/q)"
+        )
 
     def test_parse_initial_state(self):
         sigma = parse_initial_state(["x=1", "b=true"])

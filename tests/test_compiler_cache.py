@@ -17,6 +17,7 @@ from repro.cftree.cache import BoundedCache
 from repro.cftree.compile import compile_cache_stats
 from repro.compiler.cache import CompilationCache
 from repro.compiler.digest import Undigestable, fingerprint, program_digest
+from repro.compiler.passes import DEFAULT_PASSES
 from repro.compiler.pipeline import Pipeline, compile_program
 from repro.engine.pool import BitPool
 from repro.lang.expr import Opaque, Var
@@ -29,24 +30,18 @@ S0 = State()
 
 class TestDigest:
     def test_equal_programs_equal_digest(self):
-        a = program_digest(n_sided_die(6), S0, "loopback", ("cse",), 100)
-        b = program_digest(n_sided_die(6), S0, "loopback", ("cse",), 100)
+        a = program_digest(n_sided_die(6), S0, DEFAULT_PASSES, 100)
+        b = program_digest(n_sided_die(6), S0, DEFAULT_PASSES, 100)
         assert a == b
 
     def test_distinct_programs_distinct_digest(self):
-        base = program_digest(n_sided_die(6), S0, "loopback", ("cse",), 100)
+        base = program_digest(n_sided_die(6), S0, DEFAULT_PASSES, 100)
+        assert base != program_digest(n_sided_die(7), S0, DEFAULT_PASSES, 100)
         assert base != program_digest(
-            n_sided_die(7), S0, "loopback", ("cse",), 100
+            n_sided_die(6), State(x=1), DEFAULT_PASSES, 100
         )
-        assert base != program_digest(
-            n_sided_die(6), State(x=1), "loopback", ("cse",), 100
-        )
-        assert base != program_digest(
-            n_sided_die(6), S0, "full", ("cse",), 100
-        )
-        assert base != program_digest(
-            n_sided_die(6), S0, "loopback", ("debias", "cse"), 100
-        )
+        assert base != program_digest(n_sided_die(6), S0, DEFAULT_PASSES, 200)
+        assert base != program_digest(n_sided_die(6), S0, ("debias",), 100)
 
     def test_concatenation_cannot_collide(self):
         assert fingerprint("ab", "c") != fingerprint("a", "bc")

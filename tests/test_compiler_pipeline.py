@@ -16,13 +16,7 @@ from repro.bits.source import CountingBits
 from repro.cftree.compile import compile_cpgcl
 from repro.cftree.elim import elim_choices
 from repro.cftree.tree import Choice as TChoice, Leaf
-from repro.compiler.passes import (
-    DEFAULT_PASSES,
-    PASS_REGISTRY,
-    PassContext,
-    register_pass,
-    resolve_passes,
-)
+from repro.compiler.passes import DEFAULT_PASSES, TREE_PASSES
 from repro.compiler.pipeline import (
     CompiledProgram,
     Pipeline,
@@ -105,35 +99,32 @@ def _reference_stream(command, samples, seed, fuel=2_000_000):
 class TestPassManager:
     def test_registry_has_builtins(self):
         for name in ("elim_choices", "debias"):
-            assert name in PASS_REGISTRY
+            assert name in TREE_PASSES
 
     def test_unknown_pass_rejected(self):
-        with pytest.raises(KeyError):
-            resolve_passes(("no_such_pass",))
+        with pytest.raises(KeyError, match="no_such_pass.*debias"):
+            Pipeline(passes=("no_such_pass",))
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_pass("debias", lambda tree, ctx: tree)
+    def test_unknown_command_pass_rejected(self):
+        with pytest.raises(KeyError, match="no_such_pass.*prune_dead"):
+            Pipeline(command_passes=("no_such_pass",))
 
-    def test_custom_pass_registers_and_runs(self):
+    def test_custom_pass_registers_and_runs(self, monkeypatch):
         calls = []
 
-        def probe(tree, ctx):
-            calls.append(ctx.coalesce)
+        def probe(tree):
+            calls.append(tree)
             return tree
 
-        register_pass("probe_pass", probe, replace=True)
-        try:
-            pipeline = Pipeline(
-                passes=("elim_choices", "probe_pass", "debias"),
-                use_cache=False,
-            )
-            program = pipeline.compile(n_sided_die(4))
-            assert calls == ["loopback"]
-            names = [r["name"] for r in program.stats["optimize"]]
-            assert names == ["elim_choices", "probe_pass", "debias"]
-        finally:
-            PASS_REGISTRY.pop("probe_pass", None)
+        monkeypatch.setitem(TREE_PASSES, "probe_pass", probe)
+        pipeline = Pipeline(
+            passes=("elim_choices", "probe_pass", "debias"),
+            use_cache=False,
+        )
+        program = pipeline.compile(n_sided_die(4))
+        assert len(calls) == 1
+        names = [r["name"] for r in program.stats["optimize"]]
+        assert names == ["elim_choices", "probe_pass", "debias"]
 
     @pytest.mark.parametrize(
         "name,command,samples", PROGRAMS, ids=[p[0] for p in PROGRAMS]
@@ -210,6 +201,18 @@ class TestLowering:
     def test_default_table_shape(self, name, make, rows, pending):
         table = compile_program(make(), use_cache=False).table
         assert (len(table), table.pending_stubs) == (rows, pending)
+
+    def test_raw_baseline_lowers_the_pruned_program(self):
+        # prune_dead drops dead_loop.gcl's inner loop; the raw baseline
+        # lowers the same pruned command, so it differs from the table
+        # only by row dedup and compaction.
+        program = Pipeline(use_cache=False).compile(
+            _example("broken/dead_loop.gcl"), measure_raw=True
+        )
+        assert program.stats["analysis"]["pruned_sites"] > 0
+        lower = program.stats["lower"]
+        assert lower["rows_raw"] >= lower["rows"]
+        assert 0.0 <= lower["reduction_pct"] <= 100.0
 
     def test_dueling_row_reduction(self):
         program = Pipeline(use_cache=False).compile(

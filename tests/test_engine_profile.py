@@ -212,6 +212,16 @@ class TestSerializationAndTelemetry:
         for line in lines:
             json.loads(line)
 
+    def test_trampoline_run_records_no_backend(self, tmp_path):
+        # The trampoline runs no batch backend: its record must not
+        # copy the trampoline profile's unused backend field ("auto").
+        configure_telemetry(str(tmp_path))
+        collect_auto(n_sided_die(6), 10, seed=1, engine="trampoline")
+        [record] = read_records(str(tmp_path / "telemetry.jsonl"))
+        assert record["engine"] == "trampoline"
+        assert record["profile"] == "trampoline"
+        assert record["backend"] is None
+
     def test_disabled_telemetry_writes_nothing(self, tmp_path):
         collect_auto(n_sided_die(6), 20, seed=1)
         assert not (tmp_path / "telemetry.jsonl").exists()
@@ -315,6 +325,7 @@ class TestFallbackObservability:
         [record] = read_records(str(tmp_path / "telemetry.jsonl"))
         assert record["fallback_reason"] == result.fallback_reason
         assert record["profile"] == "trampoline"
+        assert record["backend"] is None
 
     def test_explicit_batch_engine_raises_instead(self, tiny_pipeline):
         from repro.engine.table import LoweringError

@@ -52,18 +52,16 @@ class TestFuzzOne:
         fuzz_module = sys.modules["repro.verify.fuzz"]
         from repro.cftree.tree import Choice, Fail, Fix, Leaf
 
-        def broken_debias(tree, coalesce="loopback"):
+        def broken_debias(tree):
             from repro.cftree.debias import debias as real
 
-            fixed = real(tree, coalesce)
+            fixed = real(tree)
             # swap children of the root choice if biased at source level
             if isinstance(tree, Choice) and tree.prob not in (0, 1):
                 from fractions import Fraction
 
                 if tree.prob != Fraction(1, 2):
-                    return real(
-                        Choice(tree.prob, tree.right, tree.left), coalesce
-                    )
+                    return real(Choice(tree.prob, tree.right, tree.left))
             return fixed
 
         monkeypatch.setattr(fuzz_module, "debias", broken_debias)
