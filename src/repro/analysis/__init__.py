@@ -9,16 +9,14 @@ Layers (each usable on its own):
 - :mod:`repro.analysis.interp` -- the abstract interpreter over
   commands, producing per-site facts;
 - :mod:`repro.analysis.lint` -- the diagnostics engine (``zar lint``);
-- :mod:`repro.analysis.prune` -- analysis-driven dead-branch pruning,
-  wired into the compiler pipeline as the ``prune_dead`` command pass;
 - :mod:`repro.analysis.bitcost` -- Knuth--Yao entropy vs expected bits.
 """
 
 from repro._lazy import lazy_exports
 
-# Resolved on first access: the compiler's ``prune_dead`` pass needs only
-# ``interp`` and ``prune``, and must not pull in the linter's bit-cost
-# analyzer (and with it ``repro.inference`` and ``repro.semantics``).
+# Resolved on first access, so a caller of one layer (say the abstract
+# interpreter) does not pull in the linter's bit-cost analyzer, and with
+# it ``repro.inference`` and ``repro.semantics``.
 _EXPORTS = {
     "RULES": "repro.analysis.diagnostics",
     "Diagnostic": "repro.analysis.diagnostics",
@@ -40,7 +38,6 @@ _EXPORTS = {
     "LintReport": "repro.analysis.lint",
     "lint_program": "repro.analysis.lint",
     "lint_source": "repro.analysis.lint",
-    "prune_command": "repro.analysis.prune",
 }
 
 __all__ = sorted(_EXPORTS)

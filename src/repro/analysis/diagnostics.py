@@ -14,7 +14,7 @@ ZAR001    divergent-loop        error*    loop can never exit (error) or has
 ZAR002    infeasible-observe    error     conditioning can never be satisfied
                                           (certain rejection)
 ZAR003    dead-branch           warning   branch/loop body with no reachable
-                                          mass; pruned by the compiler pass
+                                          mass
 ZAR004    unbounded-bit-cost    warning   expected bits consumed per sample
                                           is unbounded
 ZAR005    invalid-probability   error     choice probability outside [0, 1]

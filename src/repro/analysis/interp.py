@@ -5,8 +5,7 @@
 :class:`ProgramAnalysis`: per-site facts -- loop invariants and escape
 bounds, branch feasibilities, observation satisfiability, sampling-range
 validity, unassigned reads -- that the registered analyzers in
-``repro.analysis.lint`` turn into diagnostics, and that the compiler's
-``prune_dead`` command pass turns into rewrites.
+``repro.analysis.lint`` turn into diagnostics.
 
 Loops are solved with the framework's widening fixpoint
 (:func:`repro.analysis.framework.solve_fixpoint`).  Two refinements keep
@@ -406,18 +405,16 @@ class ProgramAnalysis(object):
         "final",
         "incomplete",
         "incomplete_reasons",
-        "budget_spent",
     )
 
     def __init__(self) -> None:
         self.sites: List[Site] = []
-        # term path -> prune action ("keep-then" | "keep-orelse" |
-        # "keep-left" | "keep-right" | "drop-loop")
+        # loop path -> "drop-loop": the guard is false in every
+        # reachable entry state
         self.dead: Dict[Path, str] = {}
         self.final: AbsState = BOTTOM_STATE
         self.incomplete = False
         self.incomplete_reasons: List[str] = []
-        self.budget_spent = 0
 
     def mark_incomplete(self, reason: str) -> None:
         self.incomplete = True
@@ -469,7 +466,6 @@ class AbstractInterpreter(object):
         self.analysis.final = self._exec(command, initial, (), True)
         if self.budget.exhausted:
             self.analysis.mark_incomplete("work budget exhausted")
-        self.analysis.budget_spent = self.budget.spent
         return self.analysis
 
     # -- helpers ---------------------------------------------------------
@@ -542,10 +538,6 @@ class AbstractInterpreter(object):
             self._record(
                 BranchSite(path, self._loc(command), "ite", tv=tv, dead=dead)
             )
-            if dead == "orelse":
-                self.analysis.dead[path] = "keep-then"
-            elif dead == "then":
-                self.analysis.dead[path] = "keep-orelse"
         then_in = (
             assume(command.cond, True, state)
             if True in tv
@@ -592,10 +584,6 @@ class AbstractInterpreter(object):
                     dead=dead,
                 )
             )
-            if dead == "left":
-                self.analysis.dead[path] = "keep-right"
-            elif dead == "right":
-                self.analysis.dead[path] = "keep-left"
         if validity == "invalid":
             return BOTTOM_STATE  # evaluation aborts at this site
         left_in = BOTTOM_STATE if dead == "left" else state

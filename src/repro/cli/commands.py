@@ -178,6 +178,7 @@ def cmd_compile(args, out: TextIO) -> int:
 
     program = load_program(args.file)
     sigma = parse_initial_state(args.init)
+    passes = _parse_passes(args.passes)
     tree = compile_cpgcl(program, sigma)
     stage = "compiled"
     if args.debias:
@@ -198,7 +199,7 @@ def cmd_compile(args, out: TextIO) -> int:
     except (CpGCLError, ValueError, ZeroDivisionError):
         pass  # expected cost undefined (e.g. nonterminating loop)
     if not getattr(args, "no_pipeline", False):
-        _print_pipeline_stats(program, sigma, args, out)
+        _print_pipeline_stats(program, sigma, passes, out)
     if args.tree:
         print(file=out)
         # Unfold Fix bodies one step at their entry states, as Figure 3
@@ -210,15 +211,26 @@ def cmd_compile(args, out: TextIO) -> int:
     return 0
 
 
-def _print_pipeline_stats(program, sigma, args, out: TextIO) -> None:
+def _parse_passes(raw) -> tuple:
+    """The ``--passes`` names (default ``DEFAULT_PASSES``), each checked
+    against ``TREE_PASSES`` so a bad name fails before any output."""
+    from repro.compiler.passes import DEFAULT_PASSES, TREE_PASSES, lookup
+
+    raw = raw or ",".join(DEFAULT_PASSES)
+    passes = tuple(name.strip() for name in raw.split(",") if name.strip())
+    try:
+        lookup(TREE_PASSES, passes)
+    except KeyError as err:
+        raise CliError("pipeline: %s" % (err.args[0],))
+    return passes
+
+
+def _print_pipeline_stats(program, sigma, passes, out: TextIO) -> None:
     """Render the staged pipeline's per-stage metrics (ISSUE 5)."""
     from repro.compiler.cache import get_cache
-    from repro.compiler.passes import DEFAULT_PASSES
     from repro.compiler.pipeline import compile_program
     from repro.engine.table import LoweringError
 
-    raw = getattr(args, "passes", None) or ",".join(DEFAULT_PASSES)
-    passes = tuple(name.strip() for name in raw.split(",") if name.strip())
     try:
         prog = compile_program(
             program, sigma, passes=passes, measure_raw=True
@@ -226,25 +238,12 @@ def _print_pipeline_stats(program, sigma, args, out: TextIO) -> None:
     except LoweringError as err:
         print("pipeline:  not lowerable (%s)" % err, file=out)
         return
-    except KeyError as err:
-        raise CliError("pipeline: %s" % (err.args[0],))
     stats = prog.stats
     print(file=out)
-    print("pipeline (normalize -> analyze -> build -> optimize -> lower):",
-          file=out)
+    print("pipeline (normalize -> build -> optimize -> lower):", file=out)
     digest = stats.get("digest")
     print("  digest:        %s" % (digest or "<undigestable: %s>"
                                    % stats.get("undigestable")), file=out)
-    analysis = stats.get("analysis") or {}
-    if analysis.get("passes"):
-        notes = ""
-        if analysis.get("incomplete"):
-            notes = ", analysis incomplete"
-        print("  analyze:       %d dead site(s) pruned (%s%s)" % (
-            analysis.get("pruned_sites", 0),
-            ", ".join(analysis["passes"]),
-            notes,
-        ), file=out)
     build = stats.get("build") or {}
     print("  build:         %d DAG nodes" % build.get("dag_nodes", 0),
           file=out)

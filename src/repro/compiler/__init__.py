@@ -13,10 +13,9 @@ Submodules:
 - :mod:`repro.compiler.digest`    -- content-addressed fingerprints;
 - :mod:`repro.compiler.normalize` -- structural hash-consing of commands
   and states (replaces the seed's ``id(...)``-keyed memo keys);
-- :mod:`repro.compiler.passes`    -- the name -> function tables of the
-  tree passes (``elim_choices``, ``debias``) and command passes
-  (``prune_dead``); equal subtrees are shared by the lowering's row
-  hash-consing, not by a pass;
+- :mod:`repro.compiler.passes`    -- the name -> function table of the
+  tree passes (``elim_choices``, ``debias``); equal subtrees are shared
+  by the lowering's row hash-consing, not by a pass;
 - :mod:`repro.compiler.cache`     -- in-memory LRU + on-disk artifact
   cache keyed by program/state/pass-list digest;
 - :mod:`repro.compiler.pipeline`  -- ``Pipeline``/``CompiledProgram``.
@@ -36,7 +35,6 @@ _EXPORTS = {
     "default_pipeline": "repro.compiler.pipeline",
     "DEFAULT_PASSES": "repro.compiler.passes",
     "TREE_PASSES": "repro.compiler.passes",
-    "COMMAND_PASSES": "repro.compiler.passes",
     "CompilationCache": "repro.compiler.cache",
     "get_cache": "repro.compiler.cache",
     "configure_cache": "repro.compiler.cache",

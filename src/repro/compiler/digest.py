@@ -258,8 +258,8 @@ def program_digest(
     """The compilation-cache key for one (program, state, options) triple.
 
     ``options`` carries any further pipeline knobs that shape the
-    artifact (dedupe, eager-expansion budget, compaction, ...) -- every
-    option that affects the output must be part of the key.
+    artifact (the eager-expansion budget) -- every option that affects
+    the output must be part of the key.
     """
     return fingerprint(
         "program", command, sigma, tuple(passes), max_nodes, tuple(options),

@@ -26,7 +26,7 @@ MCMC replays across processes reuse compiled artifacts.
 """
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cftree.compile import compile_cache_stats, compile_cpgcl
 from repro.cftree.tree import CFTree, Choice, Fix
@@ -37,13 +37,7 @@ from repro.compiler.normalize import (
     normalize_state,
     normalize_stats,
 )
-from repro.compiler.passes import (
-    COMMAND_PASSES,
-    DEFAULT_COMMAND_PASSES,
-    DEFAULT_PASSES,
-    TREE_PASSES,
-    lookup,
-)
+from repro.compiler.passes import DEFAULT_PASSES, TREE_PASSES, lookup
 from repro.engine.table import NodeTable
 from repro.lang.state import State
 from repro.lang.syntax import Command
@@ -186,32 +180,20 @@ class Pipeline:
         self,
         passes: Tuple[str, ...] = DEFAULT_PASSES,
         max_nodes: int = 2_000_000,
-        dedupe: bool = True,
         eager_expand: int = EAGER_EXPAND_DEFAULT,
-        compact: bool = True,
         cache: Optional[CompilationCache] = None,
         use_cache: bool = True,
-        command_passes: Tuple[str, ...] = DEFAULT_COMMAND_PASSES,
     ):
         self.pass_names = tuple(passes)
         self.passes = lookup(TREE_PASSES, passes)
-        self.command_pass_names = tuple(command_passes)
-        self.command_passes = lookup(COMMAND_PASSES, command_passes)
         self.max_nodes = max_nodes
-        self.dedupe = dedupe
         self.eager_expand = eager_expand
-        self.compact = compact
         self.use_cache = use_cache
         self._cache = cache
-        # Table-shaping knobs beyond the core (program, passes,
+        # The table-shaping knob beyond the core (program, passes,
         # max_nodes) key -- part of every cache digest so
         # differently-configured pipelines never collide on one entry.
-        self._digest_options = (
-            "dedupe", dedupe,
-            "eager_expand", eager_expand,
-            "compact", compact,
-            "command_passes", self.command_pass_names,
-        )
+        self._digest_options = ("eager_expand", eager_expand)
         #: (id(command), id(sigma)) -> (command, sigma, digest,
         #: undigestable reason); see :meth:`_digest`.
         self._digests: Dict[Tuple[int, int], tuple] = {}
@@ -246,24 +228,12 @@ class Pipeline:
         digest, undigestable = self._digest(command, sigma)
         normalize_seconds = time.perf_counter() - t0
 
-        cache = self.cache if self.use_cache else None
-        if digest is not None and cache is not None and not measure_raw:
-            hit = cache.get(digest)
-            if hit is not None:
-                if getattr(hit.table, "needs_rebind", False):
-                    # Thawed open table: recompile the (cheap) tree and
-                    # re-attach live closures; expansions are *not*
-                    # redone -- that is the whole point of the spill.
-                    t0 = time.perf_counter()
-                    tree = self._rebuild_tree(command, sigma)
-                    hit.table.thaw_bind(tree)
-                    hit.tree = tree
-                    hit.stats["thaw"] = {
-                        "seconds": time.perf_counter() - t0,
-                        "rows": len(hit.table),
-                        "pending": hit.table.pending_stubs,
-                    }
-                return hit
+        hit = self._hit(
+            digest, measure_raw,
+            lambda: self._optimize(compile_cpgcl(command, sigma))[0],
+        )
+        if hit is not None:
+            return hit
 
         stats: Dict[str, object] = {
             "digest": digest,
@@ -272,19 +242,9 @@ class Pipeline:
             "normalize": dict(normalize_stats(), seconds=normalize_seconds),
         }
 
-        # analyze --------------------------------------------------------
-        # Command passes (abstract-interpretation-driven rewrites such as
-        # dead-branch pruning) run on the normalized command; the digest
-        # above covers them through ``command_passes`` in the options, so
-        # cached artifacts remain keyed by the *source* program.
-        t0 = time.perf_counter()
-        build_command, analysis_info = self._analyze(command, sigma)
-        analysis_info["seconds"] = time.perf_counter() - t0
-        stats["analysis"] = analysis_info
-
         # build ----------------------------------------------------------
         t0 = time.perf_counter()
-        tree = compile_cpgcl(build_command, sigma)
+        tree = compile_cpgcl(command, sigma)
         stats["build"] = {
             "seconds": time.perf_counter() - t0,
             "dag_nodes": dag_size(tree),
@@ -294,18 +254,9 @@ class Pipeline:
         tree, stats["optimize"] = self._optimize(tree)
 
         # lower ----------------------------------------------------------
-        table, lower_stats = self._lower(tree)
-        if measure_raw:
-            lower_stats.update(self._measure_raw(tree, len(table)))
-        stats["lower"] = lower_stats
-        stats["cftree_cache"] = compile_cache_stats()
-
-        program = CompiledProgram(
-            command, sigma, self.pass_names, tree, table, digest, stats,
+        return self._lower_and_store(
+            command, sigma, tree, digest, stats, measure_raw
         )
-        if digest is not None and cache is not None:
-            cache.put(digest, program)
-        return program
 
     def compile_tree(
         self,
@@ -336,21 +287,9 @@ class Pipeline:
         except Undigestable as err:
             undigestable = str(err)
 
-        cache = self.cache if self.use_cache else None
-        if digest is not None and cache is not None and not measure_raw:
-            hit = cache.get(digest)
-            if hit is not None:
-                if getattr(hit.table, "needs_rebind", False):
-                    t0 = time.perf_counter()
-                    bound, _ = self._optimize(tree)
-                    hit.table.thaw_bind(bound)
-                    hit.tree = bound
-                    hit.stats["thaw"] = {
-                        "seconds": time.perf_counter() - t0,
-                        "rows": len(hit.table),
-                        "pending": hit.table.pending_stubs,
-                    }
-                return hit
+        hit = self._hit(digest, measure_raw, lambda: self._optimize(tree)[0])
+        if hit is not None:
+            return hit
 
         stats: Dict[str, object] = {
             "digest": digest,
@@ -358,17 +297,9 @@ class Pipeline:
             "passes": list(self.pass_names),
         }
         tree, stats["optimize"] = self._optimize(tree)
-        table, lower_stats = self._lower(tree)
-        if measure_raw:
-            lower_stats.update(self._measure_raw(tree, len(table)))
-        stats["lower"] = lower_stats
-
-        program = CompiledProgram(
-            None, None, self.pass_names, tree, table, digest, stats,
+        return self._lower_and_store(
+            None, None, tree, digest, stats, measure_raw
         )
-        if digest is not None and cache is not None:
-            cache.put(digest, program)
-        return program
 
     # -- helpers ---------------------------------------------------------
 
@@ -398,25 +329,34 @@ class Pipeline:
             self._digests[key] = entry
         return entry[2], entry[3]
 
-    def _analyze(self, command: Command,
-                 sigma: State) -> Tuple[Command, Dict[str, object]]:
-        """Run the command passes: ``(command to build, analysis
-        info)``."""
-        info: Dict[str, object] = {"passes": list(self.command_pass_names)}
-        build_command = command
-        for run in self.command_passes:
-            build_command, pass_info = run(build_command, sigma)
-            info.update(pass_info)
-        if build_command is not command:
-            build_command = normalize_command(build_command)
-        return build_command, info
+    def _hit(
+        self,
+        digest: Optional[str],
+        measure_raw: bool,
+        optimized_tree: Callable[[], CFTree],
+    ) -> Optional[CompiledProgram]:
+        """The cached artifact for ``digest``, or None on a miss.
 
-    def _rebuild_tree(self, command: Command, sigma: State) -> CFTree:
-        """The optimized tree for ``(command, sigma)``, without stats
-        bookkeeping -- used to rebind thawed open tables."""
-        build_command, _ = self._analyze(command, sigma)
-        tree, _ = self._optimize(compile_cpgcl(build_command, sigma))
-        return tree
+        ``measure_raw`` always misses: the raw baseline lowers the
+        optimized tree again.  A table thawed from disk is rebound to
+        ``optimized_tree()`` -- a cheap rebuild that re-attaches live
+        closures; expansions are *not* redone, which is the whole point
+        of the spill.
+        """
+        if digest is None or not self.use_cache or measure_raw:
+            return None
+        hit = self.cache.get(digest)
+        if hit is not None and hit.table.needs_rebind:
+            t0 = time.perf_counter()
+            tree = optimized_tree()
+            hit.table.thaw_bind(tree)
+            hit.tree = tree
+            hit.stats["thaw"] = {
+                "seconds": time.perf_counter() - t0,
+                "rows": len(hit.table),
+                "pending": hit.table.pending_stubs,
+            }
+        return hit
 
     def _optimize(self, tree):
         records: List[dict] = []
@@ -437,12 +377,15 @@ class Pipeline:
             before = after
         return tree, records
 
-    def _lower(self, tree):
+    def _lower_and_store(self, command, sigma, tree, digest, stats,
+                         measure_raw) -> CompiledProgram:
+        """Lower ``tree`` (hash-consed rows, bounded eager expansion,
+        compaction), finish ``stats`` and cache the artifact."""
         t0 = time.perf_counter()
-        table = NodeTable.from_cftree(tree, self.max_nodes, self.dedupe)
+        table = NodeTable.from_cftree(tree, self.max_nodes)
         closed = table.expand_all(limit=self.eager_expand)
-        removed = table.compact() if self.compact else 0
-        return table, {
+        removed = table.compact()
+        lower: Dict[str, object] = {
             "rows": len(table),
             "closed": closed,
             "expansions": table.expansions,
@@ -450,6 +393,16 @@ class Pipeline:
             "compacted_rows": removed,
             "seconds": time.perf_counter() - t0,
         }
+        if measure_raw:
+            lower.update(self._measure_raw(tree, len(table)))
+        stats["lower"] = lower
+        stats["cftree_cache"] = compile_cache_stats()
+        program = CompiledProgram(
+            command, sigma, self.pass_names, tree, table, digest, stats,
+        )
+        if digest is not None and self.use_cache:
+            self.cache.put(digest, program)
+        return program
 
     def _measure_raw(self, tree, rows: int) -> Dict[str, object]:
         """``rows_raw``/``reduction_pct``: ``rows`` against the baseline

@@ -114,8 +114,8 @@ class TestCompile:
         assert "debias" in text
 
     def test_raw_row_baseline_of_a_pruned_program(self):
-        # The "raw N, -P%" baseline is the pruned program lowered
-        # without dedup/compaction, so P is a share in [0, 100].
+        # The "raw N, -P%" baseline is the table's own optimized tree
+        # lowered without dedup/compaction, so P is a share in [0, 100].
         code, text = run_cli(
             "compile", str(EXAMPLES / "broken" / "dead_loop.gcl")
         )
@@ -126,6 +126,16 @@ class TestCompile:
         rows, raw, pct = match.groups()
         assert int(raw) >= int(rows)
         assert 0.0 <= float(pct) <= 100.0
+
+    def test_unknown_pass_fails_before_any_report(self, programs_dir):
+        code, text = run_cli(
+            "compile", str(programs_dir / "die.gcl"), "--passes", "bogus"
+        )
+        assert code == 1
+        assert text.strip() == (
+            "error: pipeline: unknown pass 'bogus' "
+            "(known: debias, elim_choices)"
+        )
 
     def test_tree_rendering(self, programs_dir):
         code, text = run_cli(

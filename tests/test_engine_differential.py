@@ -5,10 +5,12 @@ The engine's contract (ISSUE 3) is *bit-for-bit* equivalence with
 must yield identical sample sequences, identical per-sample bit
 consumption, and ``BitsExhausted`` at the same stream position.  These
 tests pin that contract on the paper's programs -- the die, the
-dueling-coins loop, the geometric/primes program, and the hare-tortoise
-race -- plus Hypothesis-generated programs in the slow tier.
+dueling-coins loop, the geometric/primes program, a dead nested loop
+(``broken/dead_loop.gcl``), and the hare-tortoise race -- plus
+Hypothesis-generated programs in the slow tier.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from repro.bits.source import BitsExhausted, CountingBits, ReplayBits
 from repro.engine import BatchSampler, BitPool
 from repro.itree.unfold import cpgcl_to_itree
 from repro.lang.expr import Var
+from repro.lang.parser import parse_program
 from repro.lang.state import State
 from repro.lang.sugar import (
     dueling_coins,
@@ -31,11 +34,25 @@ from strategies import commands_with_loops
 
 S0 = State()
 
+EXAMPLES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples",
+    "programs",
+)
+
+
+def _example(name):
+    with open(os.path.join(EXAMPLES, name)) as handle:
+        return parse_program(handle.read())
+
+
 PROGRAMS = [
     ("die6", n_sided_die(6), 400),
     ("die200", n_sided_die(200), 200),
     ("dueling", dueling_coins(Fraction(1, 3)), 200),
     ("geometric", geometric_primes(Fraction(1, 2)), 200),
+    # An inner loop whose guard is false on every entry.
+    ("dead_loop.gcl", _example("broken/dead_loop.gcl"), 200),
 ]
 
 HEAVY_PROGRAMS = [

@@ -157,6 +157,24 @@ class TestImportBudget:
         assert "repro.analysis" not in warm
         assert "repro.inference" not in warm
 
+    def test_sample_never_loads_the_analyzer(self, tmp_path):
+        # Compiling runs no abstract interpretation: not on a cold
+        # compile, and not when an open table thawed from the store is
+        # rebound to its rebuilt tree.
+        geometric = ["sample", _program("geometric.gcl"), "-n", "100",
+                     "--seed", "1"]
+        code, _out, first = _run(geometric, tmp_path)
+        assert code == 0
+        assert list((tmp_path / "store").glob("*.zarc"))
+        code, _out, warm = _run(geometric, tmp_path)
+        assert code == 0
+        code, _out, cold = _run(
+            ["sample", _program("die.gcl"), "-n", "100", "--seed", "1"],
+            tmp_path)
+        assert code == 0
+        for modules in (first, warm, cold):
+            assert "repro.analysis" not in modules
+
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy absent")
     def test_sample_without_native_loads_numpy(self, tmp_path):
         # The contrapositive of the budget above: when ``auto`` picks the
